@@ -20,6 +20,24 @@ from .exactla import NotInSpan, mat_mul
 from .tensoraction import (E, S, TensorSpaceSpec, Token, evaluate_word)
 
 
+# Products are solved over the (2d)^(2d) coordinates of the n = d
+# representation. The solver takes about 15 s to build at d = 4 and does not
+# finish in minutes at d = 5 (2-core host, Python 3.11), so larger products
+# fail at once instead of hanging.
+MAX_PRODUCT_D = 4
+
+
+class TooManyStrands(ValueError):
+    """A diagram product on more strands than MAX_PRODUCT_D."""
+
+
+def _check_product_size(d):
+    if d > MAX_PRODUCT_D:
+        raise TooManyStrands(
+            f"diagram products are limited to d <= {MAX_PRODUCT_D} strands "
+            f"(got d={d}): they are solved over (2d)^(2d) coordinates")
+
+
 def _vkey(v):
     # top vertices first (ascending), then bottom vertices (ascending)
     return (0, v) if v > 0 else (1, -v)
@@ -374,6 +392,7 @@ def psi_image(x, n):
 
 def diagram_of_word(word, d):
     """Resolve a dotless S/E word into the diagram algebra (exactly)."""
+    _check_product_size(d)
     n = d
     spec = TensorSpaceSpec(n, 0, d)
     op = evaluate_word(word, spec)
@@ -382,30 +401,22 @@ def diagram_of_word(word, d):
     return _span_solver(d, n).solve(_flatten(op.matrix))
 
 
-def multiply(x, y, cross_check=False):
+def multiply(x, y):
     """Product x*y via the faithful representation at n = d.
 
-    Right-action convention: the matrix of x*y is Mat(y) . Mat(x).  With
-    cross_check=True the product is recomputed at n = d+1 and compared.
+    Right-action convention: the matrix of x*y is Mat(y) . Mat(x).
     """
     if x.d != y.d:
         raise ValueError("mixed strand counts")
-    d = x.d
-
-    def compute(n):
-        mx = psi_image(x, n).matrix
-        my = psi_image(y, n).matrix
-        try:
-            return _span_solver(d, n).solve(_flatten(mat_mul(my, mx)))
-        except NotInSpan as exc:   # pragma: no cover - internal consistency
-            raise AssertionError(
-                f"product left the diagram span at d={d}, n={n}") from exc
-
-    out = compute(d)
-    if cross_check:
-        alt = compute(d + 1)
-        assert alt == out, "product differs between n=d and n=d+1"
-    return out
+    d = n = x.d
+    _check_product_size(d)
+    mx = psi_image(x, n).matrix
+    my = psi_image(y, n).matrix
+    try:
+        return _span_solver(d, n).solve(_flatten(mat_mul(my, mx)))
+    except NotInSpan as exc:   # pragma: no cover - internal consistency
+        raise AssertionError(
+            f"product left the diagram span at d={d}, n={n}") from exc
 
 
 def jm_element(j, d):

@@ -28,7 +28,8 @@ def _read_doc(path):
     except OSError as exc:
         raise click.ClickException(f"cannot read {path}: {exc}")
     try:
-        return documents.from_document(documents.loads(text)), documents.loads(text)
+        raw = documents.loads(text)
+        return documents.from_document(raw), raw
     except (documents.DocumentError, ValueError) as exc:
         raise click.ClickException(f"{path}: {exc}")
 
@@ -81,8 +82,11 @@ def normalize(d, as_json, expression):
     except wordparse.WordParseError as exc:
         raise click.ClickException(str(exc))
     acc = affine.PdElement.zero(d)
-    for coeff, word in parsed:
-        acc = acc.add(affine.normalize(list(word), d).scaled(coeff))
+    try:
+        for coeff, word in parsed:
+            acc = acc.add(affine.normalize(list(word), d).scaled(coeff))
+    except brauer.TooManyStrands as exc:
+        raise click.ClickException(str(exc))
     _echo_doc(documents.to_document(acc), as_json)
 
 
@@ -108,10 +112,13 @@ def mul(d, algebra, as_json, doc_a, doc_b):
     if raw_a["d"] != raw_b["d"]:
         raise click.ClickException(
             f"strand counts differ: {raw_a['d']} vs {raw_b['d']}")
-    if algebra == "affine":
-        prod = affine.multiply(xa, xb)
-    else:
-        prod = brauer.multiply(xa, xb)
+    try:
+        if algebra == "affine":
+            prod = affine.multiply(xa, xb)
+        else:
+            prod = brauer.multiply(xa, xb)
+    except brauer.TooManyStrands as exc:
+        raise click.ClickException(str(exc))
     _echo_doc(documents.to_document(prod), as_json)
 
 

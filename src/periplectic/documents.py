@@ -31,6 +31,11 @@ def _coeff_str(c):
     return str(Fraction(c))
 
 
+def _is_count(v, least):
+    # bool is an int subclass, but true/false are not strand or dot counts
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
 def _parse_coeff(s):
     if not isinstance(s, str) or not _COEFF_RE.match(s.strip()):
         raise DocumentError(f"bad rational coefficient {s!r} (want 'p' or 'p/q')")
@@ -75,7 +80,7 @@ def from_document(doc):
     if kind not in ("affine", "brauer", "daha"):
         raise DocumentError(f"unknown kind {kind!r}")
     d = doc.get("d")
-    if not isinstance(d, int) or d < 1:
+    if not _is_count(d, 1):
         raise DocumentError(f"bad strand count {d!r}")
     terms = doc.get("terms")
     if not isinstance(terms, list):
@@ -91,7 +96,7 @@ def from_document(doc):
             raise DocumentError(f"term {i}: missing or malformed field ({exc})")
         if len(top) != d or len(bottom) != d:
             raise DocumentError(f"term {i}: dot vectors must have length {d}")
-        if any(not isinstance(v, int) or v < 0 for v in top + bottom):
+        if not all(_is_count(v, 0) for v in top + bottom):
             raise DocumentError(f"term {i}: dots must be nonnegative integers")
         try:
             g = BrauerDiagram(d, matching)

@@ -27,11 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-try:  # exact rationals in C, if available; Fraction otherwise
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover
-    _mpq = None
-
 from . import kernels
 from .exactla import SparseMatrix, mat_mul
 from .superalgebra import ParityIndex, pn_basis_with_duals
@@ -362,10 +357,8 @@ def apply_word_to_vector(word, spec, vec):
 
 
 def _fast_scalar(v):
-    # plain ints multiply much faster than Fraction; mpq covers the rest
-    if v.denominator == 1:
-        return int(v)
-    return _mpq(v.numerator, v.denominator) if _mpq else v
+    # plain ints multiply much faster than Fraction
+    return int(v) if v.denominator == 1 else v
 
 
 @lru_cache(maxsize=None)
@@ -375,27 +368,11 @@ def _fast_columns(spec, kind, index):
             for j, col in cols.items()}
 
 
-def _make_fraction(num, den):
-    # Fraction(num, den) re-runs gcd and abc registry checks; num/den here
-    # always arrive coprime with den > 0, so fill the slots directly.
-    f = Fraction.__new__(Fraction)
-    f._numerator = num
-    f._denominator = den
-    return f
-
-
-try:
-    if _make_fraction(1, 2) != Fraction(1, 2):
-        raise AttributeError
-except (AttributeError, TypeError):  # pragma: no cover - non-CPython layouts
-    _make_fraction = Fraction
-
-
 _FRACTION_POOL = {}
 
 
 def _pooled_fraction(v):
-    """Coerce an exact scalar (int, mpq or Fraction) to a shared Fraction.
+    """Coerce an exact scalar (int or Fraction) to a shared Fraction.
 
     Sharing matters: operator equality bottoms out in dict equality, which
     short-circuits on identical value objects.  The pool stays small because
@@ -404,7 +381,7 @@ def _pooled_fraction(v):
     key = (v.numerator, v.denominator)
     f = _FRACTION_POOL.get(key)
     if f is None:
-        f = _FRACTION_POOL[key] = _make_fraction(int(key[0]), int(key[1]))
+        f = _FRACTION_POOL[key] = Fraction(*key)
     return f
 
 
@@ -420,7 +397,7 @@ def _trusted_matrix(dim, ent):
 
 @lru_cache(maxsize=512)
 def _evaluate_raw(word, spec):
-    """Matrix of the word as column dicts {in: {out: value}}, values int/mpq.
+    """Matrix of the word as column dicts {in: {out: value}} (int/Fraction).
 
     A word extends its one-shorter prefix by a single cached column
     application, so a family of words sharing prefixes (word enumerations,

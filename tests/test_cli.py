@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -171,3 +172,17 @@ def test_normalize_pretty_output_roundtrips(runner):
     res = invoke(runner, "normalize", "--d", "2", "s1*y1")
     x = from_document(loads(res.output))
     assert x == normalize([S(1), Y(1)], 2)
+
+
+def test_normalize_refuses_diagram_products_beyond_the_limit(runner):
+    start = time.perf_counter()
+    res = invoke(runner, "normalize", "--d", "5", "e1*s2")
+    assert time.perf_counter() - start < 5
+    assert res.exit_code != 0
+    assert "d <= 4" in res.output
+
+
+def test_normalize_dot_words_at_five_strands(runner):
+    res = invoke(runner, "normalize", "--d", "5", "--json", "y1*y3*y5")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["terms"][0]["top_dots"] == [1, 0, 1, 0, 1]

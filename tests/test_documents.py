@@ -74,6 +74,10 @@ BAD_MUTATIONS = [
     ("dots length", lambda d: d["terms"][0].update(bottom_dots=[0, 0, 0])),
     ("negative dots", lambda d: d["terms"][0].update(bottom_dots=[-2, 0])),
     ("dot type", lambda d: d["terms"][0].update(top_dots=["1", 0])),
+    ("dot bool", lambda d: d["terms"][0].update(top_dots=[True, 0])),
+    ("d bool", lambda d: d.update(kind="brauer", d=True, terms=[
+        {"coeff": "1", "matching": [[1, -1]], "top_dots": [0],
+         "bottom_dots": [0]}])),
 ]
 
 

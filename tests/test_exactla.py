@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from periplectic import kernels
 from periplectic.exactla import (NotInSpan, SparseMatrix, SparseVector,
                                  mat_mul, rank, solve_in_span)
 
@@ -153,3 +154,11 @@ def test_no_stored_zeros():
     assert 0 not in v.entries
     m = SparseMatrix(2, 2, {(0, 0): Fraction(0), (1, 1): Fraction(1)})
     assert (0, 0) not in m.entries
+
+
+def test_reduce_against_detects_membership():
+    pivots = {0: {0: Fraction(1), 2: Fraction(2)}}
+    inside = {0: Fraction(3), 2: Fraction(6)}
+    assert kernels.reduce_against(pivots, inside) == {}
+    outside = {1: Fraction(1)}
+    assert kernels.reduce_against(pivots, outside) == outside
