@@ -29,6 +29,7 @@ from . import kernels
 from .brauer import (ADElement, BrauerDiagram, canonical_word, diagram_of_word,
                      enumerate_diagrams, jm_element)
 from .brauer import multiply as diagram_multiply
+from .exactla import Echelon
 from .tensoraction import (E, EndoOperator, S, TensorSpaceSpec, Y, check_word,
                            evaluate_word, evaluate_word_sum)
 
@@ -605,19 +606,6 @@ def to_daha(x, d=None):
 # basis independence check
 # ---------------------------------------------------------------------------
 
-def _echelon_rank(rows):
-    pivots = {}
-    rank = 0
-    for row in rows:
-        residual = kernels.reduce_against(pivots, dict(row))
-        if residual:
-            j = min(residual)
-            inv = Fraction(1) / residual[j]
-            pivots[j] = {k: inv * v for k, v in residual.items()}
-            rank += 1
-    return rank
-
-
 def pbw_rank_check(d, max_degree, n):
     """(count, rank) of the regular monomials of degree <= max_degree.
 
@@ -642,7 +630,8 @@ def pbw_rank_check(d, max_degree, n):
             for (r, c), v in op.matrix.entries.items():
                 row[offset + r * spec.dim + c] = v
         offset += spec.dim * spec.dim
-        rank = _echelon_rank(rows)
+        echelon = Echelon()
+        rank = sum(echelon.add(row) for row in rows)
         if rank == count:
             break
     return count, rank

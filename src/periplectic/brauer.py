@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import kernels
-from .exactla import NotInSpan, mat_mul
+from .exactla import Echelon, NotInSpan, mat_mul
 from .tensoraction import (E, S, TensorSpaceSpec, Token, evaluate_word)
 
 
@@ -324,51 +324,24 @@ def _flatten(matrix):
     return {r * ncols + c: v for (r, c), v in matrix.entries.items()}
 
 
-class _SpanSolver:
-    """Cached exact echelon over the flattened psi-images of all diagrams."""
-
-    def __init__(self, d, n):
-        self.d = d
-        self.n = n
-        self.diagrams = enumerate_diagrams(d)
-        basis = _psi_basis(d, n)
-        self.pivots = {}
-        for idx, g in enumerate(self.diagrams):
-            residual = _flatten(basis[g].matrix)
-            combo = {idx: Fraction(1)}
-            while residual:
-                j = min(residual)
-                piv = self.pivots.get(j)
-                if piv is None:
-                    break
-                c = residual[j]
-                kernels.combine_scaled(residual, piv[0], -c)
-                kernels.combine_scaled(combo, piv[1], -c)
-            if not residual:
-                raise AssertionError(
-                    f"psi images dependent at d={d}, n={n}: diagram {g}")
-            j = min(residual)
-            inv = Fraction(1) / residual[j]
-            self.pivots[j] = ({k: inv * v for k, v in residual.items()},
-                              {k: inv * v for k, v in combo.items()})
-
-    def solve(self, flat):
-        residual = dict(flat)
-        combo = {}
-        while residual:
-            j = min(residual)
-            piv = self.pivots.get(j)
-            if piv is None:
-                raise NotInSpan(f"coordinate {j} unreachable")
-            c = residual[j]
-            kernels.combine_scaled(residual, piv[0], -c)
-            kernels.combine_scaled(combo, piv[1], c)
-        return ADElement(self.d, {self.diagrams[i]: c for i, c in combo.items()})
-
-
 @lru_cache(maxsize=None)
-def _span_solver(d, n):
-    return _SpanSolver(d, n)
+def _span_solver(d):
+    """All diagrams on d strands, and an exact echelon over their flattened
+    images at n = d in which each image is tagged with its diagram's index."""
+    basis = _psi_basis(d, d)
+    echelon = Echelon(TensorSpaceSpec(d, 0, d).dim ** 2)
+    for idx, (g, op) in enumerate(basis.items()):
+        if not echelon.add(_flatten(op.matrix), idx):
+            raise AssertionError(
+                f"psi images dependent at d={d}, n={d}: diagram {g}")
+    return tuple(basis), echelon
+
+
+def _solve_diagrams(d, matrix):
+    """The ADElement whose image at n = d is `matrix`."""
+    diagrams, echelon = _span_solver(d)
+    combo = echelon.solve(_flatten(matrix))
+    return ADElement(d, {diagrams[i]: c for i, c in combo.items()})
 
 
 def psi_image(x, n):
@@ -398,7 +371,7 @@ def diagram_of_word(word, d):
     op = evaluate_word(word, spec)
     if not op.matrix.entries:
         return ADElement.zero(d)
-    return _span_solver(d, n).solve(_flatten(op.matrix))
+    return _solve_diagrams(d, op.matrix)
 
 
 def multiply(x, y):
@@ -413,7 +386,7 @@ def multiply(x, y):
     mx = psi_image(x, n).matrix
     my = psi_image(y, n).matrix
     try:
-        return _span_solver(d, n).solve(_flatten(mat_mul(my, mx)))
+        return _solve_diagrams(d, mat_mul(my, mx))
     except NotInSpan as exc:   # pragma: no cover - internal consistency
         raise AssertionError(
             f"product left the diagram span at d={d}, n={n}") from exc

@@ -15,7 +15,7 @@ Rational = Fraction
 
 
 class NotInSpan(Exception):
-    """Raised by solve_in_span when the target is outside the span."""
+    """Raised by Echelon.solve when the target is outside the span."""
 
 
 def _norm_entries(entries):
@@ -169,6 +169,51 @@ class SparseMatrix:
                 f"{len(self.entries)} nonzero)")
 
 
+class Echelon:
+    """Exact row echelon over Q: each row in `pivots` has its least index as
+    pivot, with coefficient 1.
+
+    Rows have real coordinates below `width`.  A row added with tag i also
+    carries the coordinate width + i, so each pivot row records its
+    combination of the tagged input rows; tags sit past every real
+    coordinate and therefore never become pivots.
+    """
+
+    __slots__ = ("width", "pivots")
+
+    def __init__(self, width=0):
+        self.width = width
+        self.pivots = {}
+
+    def _reduce(self, row):
+        """The residual of a dict row and the least real index left in it
+        (None when the row lies in the span)."""
+        residual = kernels.reduce_against(self.pivots, row)
+        j = min(residual, default=None)
+        if j is not None and 0 < self.width <= j:   # only tags are left
+            j = None
+        return residual, j
+
+    def add(self, row, tag=None):
+        """Add a dict row; returns whether it was independent of the rest."""
+        if tag is not None:
+            row = dict(row)
+            row[self.width + tag] = Fraction(1)
+        residual, j = self._reduce(row)
+        if j is None:
+            return False
+        inv = Fraction(1) / residual[j]
+        self.pivots[j] = {k: inv * v for k, v in residual.items()}
+        return True
+
+    def solve(self, row):
+        """Coefficients {tag: c} of the tagged rows that sum to `row`."""
+        residual, j = self._reduce(row)
+        if j is not None:
+            raise NotInSpan(f"coordinate {j} unreachable")
+        return {k - self.width: -v for k, v in residual.items()}
+
+
 def mat_mul(a, b):
     """Exact product of two sparse matrices."""
     if a.ncols != b.nrows:
@@ -210,18 +255,8 @@ def rank(a):
                 dense[j] = int(v * lcm)
             int_rows.append(dense)
         return kernels.bareiss_rank(int_rows, a.ncols)
-    pivots = {}
-    rk = 0
-    for row in rows_d:
-        if not row:
-            continue
-        residual = kernels.reduce_against(pivots, row)
-        if residual:
-            j = min(residual)
-            inv = Fraction(1) / residual[j]
-            pivots[j] = {k: inv * v for k, v in residual.items()}
-            rk += 1
-    return rk
+    echelon = Echelon()
+    return sum(echelon.add(row) for row in rows_d)
 
 
 def solve_in_span(basis, target):
@@ -233,31 +268,8 @@ def solve_in_span(basis, target):
     """
     if any(v.length != target.length for v in basis):
         raise ValueError("length mismatch between basis and target")
-    pivots = {}   # pivot index -> (rowdict normalized to pivot 1, combo dict)
+    echelon = Echelon(target.length)
     for idx, vec in enumerate(basis):
-        residual = dict(vec.entries)
-        combo = {idx: Fraction(1)}
-        while residual:
-            j = min(residual)
-            piv = pivots.get(j)
-            if piv is None:
-                break
-            c = residual[j]
-            kernels.combine_scaled(residual, piv[0], -c)
-            kernels.combine_scaled(combo, piv[1], -c)
-        if residual:
-            j = min(residual)
-            inv = Fraction(1) / residual[j]
-            pivots[j] = ({k: inv * v for k, v in residual.items()},
-                         {k: inv * v for k, v in combo.items()})
-    residual = dict(target.entries)
-    combo = {}
-    while residual:
-        j = min(residual)
-        piv = pivots.get(j)
-        if piv is None:
-            raise NotInSpan(f"target has unreachable coordinate {j}")
-        c = residual[j]
-        kernels.combine_scaled(residual, piv[0], -c)
-        kernels.combine_scaled(combo, piv[1], c)
+        echelon.add(vec.entries, idx)
+    combo = echelon.solve(target.entries)
     return [combo.get(i, Fraction(0)) for i in range(len(basis))]

@@ -116,7 +116,7 @@ def bareiss_rank(rows, ncols):
 
 
 def reduce_against(pivots, row):
-    """Reduce a dict vector against an echelon set in place.
+    """Reduce a dict vector against an echelon set.
 
     ``pivots`` maps pivot index -> row dict whose pivot coefficient is 1.
     Returns the (new dict) residual, empty if ``row`` lies in the span.
@@ -127,13 +127,13 @@ def reduce_against(pivots, row):
         piv = pivots.get(j)
         if piv is None:
             return residual
-        c = residual[j]
+        c = -residual[j]
         for k, v in piv.items():
             w = residual.get(k)
             if w is None:
-                residual[k] = -c * v
+                residual[k] = c * v
             else:
-                w = w - c * v
+                w = w + c * v
                 if w:
                     residual[k] = w
                 else:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import kernels
-from .exactla import SparseMatrix, mat_mul
+from .exactla import Echelon, SparseMatrix, mat_mul
 from .superalgebra import ParityIndex, pn_basis_with_duals
 
 
@@ -559,16 +559,7 @@ def commutant_dimension(spec):
                 eqs.setdefault(key, {})[unk[(b, u)]] = \
                     eqs.get(key, {}).get(unk[(b, u)], Fraction(0)) - v
         rows.extend(r for r in eqs.values())
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = {k: v for k, v in row.items() if v}
-        if not row:
-            continue
-        residual = kernels.reduce_against(pivots, row)
-        if residual:
-            jj = min(residual)
-            inv = Fraction(1) / residual[jj]
-            pivots[jj] = {k: inv * v for k, v in residual.items()}
-            rank += 1
+    echelon = Echelon()
+    rank = sum(echelon.add({k: v for k, v in row.items() if v})
+               for row in rows)
     return len(unk) - rank

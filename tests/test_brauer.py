@@ -5,7 +5,8 @@ import pytest
 
 from periplectic.brauer import (ADElement, BrauerDiagram, canonical_word,
                                 diagram_of_word, enumerate_diagrams,
-                                jm_element, marked_pair, multiply, psi_image)
+                                jm_element, marked_pair, matching_of_operator,
+                                multiply, psi_image)
 from periplectic.exactla import SparseVector, rank, solve_in_span
 from periplectic.tensoraction import E, S, TensorSpaceSpec, evaluate_word
 
@@ -79,6 +80,15 @@ def test_every_word_reproduces_its_diagram():
             x = diagram_of_word(list(canonical_word(g).word), d)
             assert list(x.terms) == [g]
             assert abs(list(x.terms.values())[0]) == 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_matching_of_operator_reads_back_every_diagram(d):
+    for n in (d, d + 1):
+        spec = TensorSpaceSpec(n, 0, d)
+        for g in enumerate_diagrams(d):
+            op = evaluate_word(canonical_word(g).word, spec)
+            assert matching_of_operator(op, d) == g
 
 
 # multiplication ------------------------------------------------------------

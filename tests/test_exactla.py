@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periplectic import kernels
-from periplectic.exactla import (NotInSpan, SparseMatrix, SparseVector,
-                                 mat_mul, rank, solve_in_span)
+from periplectic import exactla, kernels
+from periplectic.exactla import (Echelon, NotInSpan, SparseMatrix,
+                                 SparseVector, mat_mul, rank, solve_in_span)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 
@@ -101,6 +101,21 @@ def test_rank_matches_dense_elimination(rows):
     assert rank(m) == dense_rank(m)
 
 
+@given(st.integers(1, 6).flatmap(lambda w: st.lists(
+           st.lists(rationals, min_size=w, max_size=w), min_size=1, max_size=6)),
+       st.lists(rationals, min_size=6, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_sparse_rank_matches_bareiss(rows, weights):
+    # the last row is a combination of the others, so ranks fall short too
+    rows.append([sum(w * r[j] for w, r in zip(weights, rows))
+                 for j in range(len(rows[0]))])
+    m = dense(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "_DENSE_CELL_LIMIT", 0)
+        sparse = rank(m)
+    assert sparse == rank(m)
+
+
 def test_solve_in_span_standard_basis():
     e1 = SparseVector(2, {0: Fraction(1)})
     e2 = SparseVector(2, {1: Fraction(1)})
@@ -162,3 +177,24 @@ def test_reduce_against_detects_membership():
     assert kernels.reduce_against(pivots, inside) == {}
     outside = {1: Fraction(1)}
     assert kernels.reduce_against(pivots, outside) == outside
+    fill_in = {0: Fraction(3), 1: Fraction(1)}
+    assert kernels.reduce_against(pivots, fill_in) == {1: Fraction(1),
+                                                       2: Fraction(-6)}
+
+
+def test_echelon_add_and_solve():
+    rows = [{0: Fraction(1), 1: Fraction(2)},
+            {1: Fraction(1), 2: Fraction(-1, 3)},
+            {0: Fraction(2), 1: Fraction(5), 2: Fraction(-1, 3)}]  # 2 r0 + r1
+    echelon = Echelon(3)
+    assert [echelon.add(r, i) for i, r in enumerate(rows)] == [True, True,
+                                                              False]
+    assert sorted(echelon.pivots) == [0, 1]
+    target = {0: Fraction(3), 1: Fraction(7), 2: Fraction(-1, 3)}
+    combo = echelon.solve(target)
+    back = {}
+    for i, c in combo.items():
+        kernels.combine_scaled(back, rows[i], c)
+    assert back == target
+    with pytest.raises(NotInSpan):
+        echelon.solve({2: Fraction(1)})
