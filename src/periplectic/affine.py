@@ -23,7 +23,6 @@ the two routes stay independent and can be compared in tests.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
 
 from . import kernels
 from .brauer import (ADElement, BrauerDiagram, canonical_word, diagram_of_word,
@@ -76,12 +75,6 @@ class DotDiagram:
 
     def __repr__(self):
         return f"y{self.top_dots}.{self.diagram}.y{self.bottom_dots}"
-
-
-class FiltrationDegree(NamedTuple):
-    """Total dot count; products never exceed the sum of their factors."""
-
-    degree: int
 
 
 def _cup_right_ends(g):
@@ -172,12 +165,6 @@ class PdElement:
             return "0"
         items = sorted(self.terms.items(), key=lambda t: t[0]._key)
         return " + ".join(f"({c})*{u}" for u, c in items)
-
-
-def filtration_degree(x):
-    if isinstance(x, DotDiagram):
-        return FiltrationDegree(x.degree)
-    return FiltrationDegree(x.degree)
 
 
 def enumerate_regular(d, max_degree):

@@ -17,7 +17,8 @@ from functools import lru_cache
 
 from . import kernels
 from .exactla import Echelon, NotInSpan, mat_mul
-from .tensoraction import (E, S, TensorSpaceSpec, Token, evaluate_word)
+from .tensoraction import (E, EndoOperator, S, TensorSpaceSpec, Token,
+                           evaluate_word)
 
 
 # Products are solved over the (2d)^(2d) coordinates of the n = d
@@ -208,21 +209,18 @@ class ADElement:
 class CanonicalWord:
     """A fixed S/E generator word for a diagram.
 
-    The stored basis matrix of the diagram is literally the m = 0 image of
-    this word, so `sign` (the unit relating the word's image to the basis
-    element) is +1 by construction; the field exists because the sign is a
-    convention that other choices of factorization would change.
+    The basis element of the diagram is, by definition, the m = 0 image of
+    this word, so no sign relates the two.
     """
 
-    __slots__ = ("word", "diagram", "sign")
+    __slots__ = ("word", "diagram")
 
-    def __init__(self, word, diagram, sign=1):
+    def __init__(self, word, diagram):
         self.word = tuple(word)
         self.diagram = diagram
-        self.sign = sign
 
     def __repr__(self):
-        return f"CanonicalWord({list(self.word)}, {self.diagram}, sign={self.sign})"
+        return f"CanonicalWord({list(self.word)}, {self.diagram})"
 
 
 @lru_cache(maxsize=None)
@@ -345,16 +343,9 @@ def _solve_diagrams(d, matrix):
 
 
 def psi_image(x, n):
-    """m = 0 image: CanonicalWord, BrauerDiagram or ADElement -> EndoOperator."""
-    if isinstance(x, CanonicalWord):
-        d = x.diagram.d
-        spec = TensorSpaceSpec(n, 0, d)
-        return evaluate_word(x.word, spec)
-    if isinstance(x, BrauerDiagram):
-        x = ADElement.from_diagram(x)
+    """The m = 0 image of an ADElement, as an EndoOperator."""
     spec = TensorSpaceSpec(n, 0, x.d)
     basis = _psi_basis(x.d, n) if n == x.d else None
-    from .tensoraction import EndoOperator
     acc = EndoOperator.zero(spec)
     for g, c in x.terms.items():
         op = basis[g] if basis is not None else evaluate_word(

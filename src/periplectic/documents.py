@@ -31,9 +31,14 @@ def _coeff_str(c):
     return str(Fraction(c))
 
 
+def _is_int(v):
+    # bool is an int subclass, but true/false are not counts or vertices; and
+    # 1.0 would be written back as 1.0, breaking byte-identical serialisation
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_count(v, least):
-    # bool is an int subclass, but true/false are not strand or dot counts
-    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+    return _is_int(v) and v >= least
 
 
 def _parse_coeff(s):
@@ -94,6 +99,9 @@ def from_document(doc):
             bottom = tuple(t["bottom_dots"])
         except (KeyError, TypeError) as exc:
             raise DocumentError(f"term {i}: missing or malformed field ({exc})")
+        if not all(len(p) == 2 and all(map(_is_int, p)) for p in matching):
+            raise DocumentError(f"term {i}: matching must be pairs of "
+                                f"integer vertices")
         if len(top) != d or len(bottom) != d:
             raise DocumentError(f"term {i}: dot vectors must have length {d}")
         if not all(_is_count(v, 0) for v in top + bottom):

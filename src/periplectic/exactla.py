@@ -1,17 +1,17 @@
 """Exact sparse linear algebra over the rationals.
 
-Coefficients are `fractions.Fraction` throughout (exported as `Rational`);
-there is no floating point and no modular shortcut anywhere in this package.
-Vectors and matrices store only nonzero entries, keyed by index respectively
-(row, col) pairs.
+Coefficients are `fractions.Fraction` throughout; there is no floating point
+and no modular shortcut anywhere in this package.  Vectors and matrices store
+only nonzero entries, keyed by index respectively (row, col) pairs.
+
+`Echelon` is the one row echelon: `rank` counts the rows it keeps and
+`solve_in_span` reads a combination back from it, both through the single
+reduction loop `kernels.reduce_against`.
 """
 
-import math
 from fractions import Fraction
 
 from . import kernels
-
-Rational = Fraction
 
 
 class NotInSpan(Exception):
@@ -28,7 +28,7 @@ def _norm_entries(entries):
 
 
 class SparseVector:
-    """Sparse column vector: `entries` maps index -> nonzero Rational."""
+    """Sparse column vector: `entries` maps index -> nonzero Fraction."""
 
     __slots__ = ("length", "entries")
 
@@ -69,7 +69,7 @@ class SparseVector:
 
 
 class SparseMatrix:
-    """Sparse matrix: `entries` maps (row, col) -> nonzero Rational."""
+    """Sparse matrix: `entries` maps (row, col) -> nonzero Fraction."""
 
     __slots__ = ("nrows", "ncols", "entries")
 
@@ -85,19 +85,6 @@ class SparseMatrix:
     @classmethod
     def identity(cls, n):
         return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    @classmethod
-    def from_dense(cls, rows):
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        ent = {}
-        for i, row in enumerate(rows):
-            if len(row) != nc:
-                raise ValueError("ragged dense input")
-            for j, v in enumerate(row):
-                if v:
-                    ent[(i, j)] = Fraction(v)
-        return cls(nr, nc, ent)
 
     def to_dense(self):
         rows = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
@@ -145,24 +132,6 @@ class SparseMatrix:
         for (i, j), v in self.entries.items():
             out.setdefault(j, []).append((i, v))
         return out
-
-    def column_vector(self, j):
-        ent = {i: v for (i, jj), v in self.entries.items() if jj == j}
-        return SparseVector(self.nrows, ent)
-
-    def transpose(self):
-        return SparseMatrix(self.ncols, self.nrows,
-                            {(j, i): v for (i, j), v in self.entries.items()})
-
-    def apply(self, vec):
-        """Matrix-vector product on a SparseVector."""
-        if vec.length != self.ncols:
-            raise ValueError("shape mismatch")
-        cols = {}
-        for (i, j), v in self.entries.items():
-            cols.setdefault(j, []).append((i, v))
-        acc = kernels.apply_columns(cols, vec.entries)
-        return SparseVector(self.nrows, acc)
 
     def __repr__(self):
         return (f"SparseMatrix({self.nrows}x{self.ncols}, "
@@ -232,37 +201,16 @@ def mat_mul(a, b):
     return SparseMatrix(a.nrows, b.ncols, ent)
 
 
-# Above this many cells we switch from dense fraction-free elimination to a
-# sparse echelon; both are exact, the sparse route just avoids materializing
-# mostly-zero rows.
-_DENSE_CELL_LIMIT = 1_000_000
-
-
 def rank(a):
-    """Exact rank of a SparseMatrix (fraction-free where dense pays off)."""
-    rows_d = a.rows()
-    if a.nrows * a.ncols <= _DENSE_CELL_LIMIT:
-        int_rows = []
-        for row in rows_d:
-            if not row:
-                continue
-            lcm = 1
-            for v in row.values():
-                d = v.denominator
-                lcm = lcm * d // math.gcd(lcm, d)
-            dense = [0] * a.ncols
-            for j, v in row.items():
-                dense[j] = int(v * lcm)
-            int_rows.append(dense)
-        return kernels.bareiss_rank(int_rows, a.ncols)
+    """Exact rank of a SparseMatrix: the number of rows its echelon keeps."""
     echelon = Echelon()
-    return sum(echelon.add(row) for row in rows_d)
+    return sum(echelon.add(row) for row in a.rows())
 
 
 def solve_in_span(basis, target):
     """Express `target` as a rational combination of `basis` vectors.
 
-    Returns a list of Rational coefficients (one per basis vector).  Raises
+    Returns a list of Fraction coefficients (one per basis vector).  Raises
     NotInSpan if no exact combination exists.  If the basis is linearly
     dependent an arbitrary valid combination is returned.
     """

@@ -77,7 +77,8 @@ def matmul_dicts(a_rows, b_rows):
 def bareiss_rank(rows, ncols):
     """Rank of an integer matrix via fraction-free (Bareiss) elimination.
 
-    ``rows`` is a list of mutable lists of ints, consumed destructively.
+    ``rows`` is a list of mutable lists of ints, consumed destructively.  No
+    package code calls it: the tests keep it as the oracle for exactla.rank.
     """
     m = len(rows)
     if m == 0:

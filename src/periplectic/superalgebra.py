@@ -15,7 +15,7 @@ supertrace is Str(X) = tr A - tr D, and the odd pairing on V is
 
 from fractions import Fraction
 
-from .exactla import Rational, SparseMatrix, mat_mul
+from .exactla import SparseMatrix, mat_mul
 
 
 class ParityIndex:
@@ -62,11 +62,6 @@ class ParityIndex:
 
     def __repr__(self):
         return f"{self.i}̄" if self.barred else f"{self.i}"
-
-
-def index_parity(n, pos):
-    """Parity of the basis vector at 0-based position pos (0 even, 1 odd)."""
-    return 1 if pos >= n else 0
 
 
 class SuperMatrix:
@@ -187,7 +182,7 @@ def odd_form(a, b):
     """(e_a, e_b) = 1 if a = bar(b), else 0."""
     if a.n != b.n:
         raise ValueError("indices from different n")
-    return Rational(1) if a == b.bar() else Rational(0)
+    return Fraction(1) if a == b.bar() else Fraction(0)
 
 
 def is_pn_member(x):

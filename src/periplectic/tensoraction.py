@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from . import kernels
 from .exactla import Echelon, SparseMatrix, mat_mul
-from .superalgebra import ParityIndex, pn_basis_with_duals
+from .superalgebra import pn_basis_with_duals
 
 
 class Token(NamedTuple):
@@ -98,43 +98,16 @@ class TensorSpaceSpec(NamedTuple):
         return self
 
 
-class TensorBasisIndex:
-    """A basis tensor e_{i_1} (x) ... (x) e_{i_(m+d)} of M (x) V^(x)d."""
-
-    __slots__ = ("spec", "components")
-
-    def __init__(self, spec, components):
-        if len(components) != spec.nslots:
-            raise ValueError("wrong number of tensor components")
-        self.spec = spec
-        self.components = list(components)
-
-    @classmethod
-    def from_rank(cls, spec, t):
-        return cls(spec, [ParityIndex.from_pos(spec.n, dg) for dg in spec.digits(t)])
-
-    def to_rank(self):
-        return self.spec.rank([c.pos for c in self.components])
-
-    @property
-    def total_parity(self):
-        return sum(c.parity for c in self.components) % 2
-
-    def __repr__(self):
-        return " (x) ".join(repr(c) for c in self.components)
-
-
 class EndoOperator:
     """An explicit exact endomorphism of M (x) V^(x)d."""
 
-    __slots__ = ("spec", "matrix", "_cols")
+    __slots__ = ("spec", "matrix")
 
     def __init__(self, spec, matrix):
         if matrix.nrows != matrix.ncols or matrix.nrows != spec.dim:
             raise ValueError("matrix size does not match the tensor space")
         self.spec = spec
         self.matrix = matrix
-        self._cols = None
 
     @classmethod
     def from_columns(cls, spec, cols):
@@ -154,17 +127,8 @@ class EndoOperator:
     def zero(cls, spec):
         return cls(spec, SparseMatrix(spec.dim, spec.dim))
 
-    def columns(self):
-        """Column table {in: [(out, coeff), ...]} for the kernel routines."""
-        if self._cols is None:
-            cols = {}
-            for (i, j), v in self.matrix.entries.items():
-                cols.setdefault(j, []).append((i, v))
-            self._cols = cols
-        return self._cols
-
     def apply_dict(self, vec):
-        return kernels.apply_columns(self.columns(), vec)
+        return kernels.apply_columns(self.matrix.columns(), vec)
 
     def compose(self, other):
         """self after other (usual operator composition)."""
@@ -226,6 +190,8 @@ def _bar(n, digit):
 
 @lru_cache(maxsize=None)
 def _op_columns_cached(spec, kind, index):
+    """Columns {in: [(out, int value), ...]} of one generator's image; every
+    operator of a word is built from these tables."""
     spec.validate()
     n, m, d = spec
     base = 2 * n
@@ -259,15 +225,14 @@ def _op_columns_cached(spec, kind, index):
         j = index
         if not 1 <= j <= d:
             raise ValueError(f"y index {j} out of range for d={d}")
-        return _split_casimir_columns(spec, tuple(range(m + j - 1)), m + j - 1,
-                                      double=True)
+        return _split_casimir_columns(spec, tuple(range(m + j - 1)), m + j - 1)
     else:
         raise ValueError(f"unknown operator kind {kind}")
     return cols
 
 
-def _split_casimir_columns(spec, acting_slots, dual_slot, double):
-    """Columns of (2)C restricted to given derivation slots and dual slot."""
+def _split_casimir_columns(spec, acting_slots, dual_slot):
+    """Columns of 2C restricted to given derivation slots and dual slot."""
     n = spec.n
     tables = _v_action_tables(n)
     # dual tables grouped by input digit for quick lookup
@@ -302,31 +267,27 @@ def _split_casimir_columns(spec, acting_slots, dual_slot, double):
         col = [(r, v) for r, v in out.items() if v]
         if col:
             cols[t] = col
-    if not double:
-        half = Fraction(1, 2)
-        cols = {t: [(r, half * v) for r, v in col] for t, col in cols.items()}
     return cols
 
 
 def op_s(a, spec):
-    return EndoOperator.from_columns(spec, _op_columns_cached(spec, "S", a))
+    return evaluate_word([S(a)], spec)
 
 
 def op_epsilon(a, spec):
-    return EndoOperator.from_columns(spec, _op_columns_cached(spec, "E", a))
+    return evaluate_word([E(a)], spec)
 
 
 def op_y(j, spec):
-    return EndoOperator.from_columns(spec, _op_columns_cached(spec, "Y", j))
+    return evaluate_word([Y(j)], spec)
 
 
 def op_casimir(left_size, spec):
     spec.validate()
     if not 0 <= left_size <= spec.nslots - 1:
         raise ValueError(f"bad split position {left_size}")
-    cols = _split_casimir_columns(spec, tuple(range(left_size)), left_size,
-                                  double=False)
-    return EndoOperator.from_columns(spec, cols)
+    cols = _split_casimir_columns(spec, tuple(range(left_size)), left_size)
+    return EndoOperator.from_columns(spec, cols).scaled(Fraction(1, 2))
 
 
 def op_omega(i, j, spec):
@@ -338,34 +299,18 @@ def op_omega(i, j, spec):
         acting = tuple(range(m))
     else:
         acting = (m + i - 1,)
-    cols = _split_casimir_columns(spec, acting, m + j - 1, double=True)
+    cols = _split_casimir_columns(spec, acting, m + j - 1)
     return EndoOperator.from_columns(spec, cols)
-
-
-def token_columns(tok, spec):
-    """Column table of a single generator image (cached)."""
-    return _op_columns_cached(spec, tok.kind, tok.index)
 
 
 def apply_word_to_vector(word, spec, vec):
     """Right action of a word on a dict vector: tokens applied left to right."""
     for tok in word:
-        vec = kernels.apply_columns(token_columns(tok, spec), vec)
+        vec = kernels.apply_columns(
+            _op_columns_cached(spec, tok.kind, tok.index), vec)
         if not vec:
             break
     return vec
-
-
-def _fast_scalar(v):
-    # plain ints multiply much faster than Fraction
-    return int(v) if v.denominator == 1 else v
-
-
-@lru_cache(maxsize=None)
-def _fast_columns(spec, kind, index):
-    cols = _op_columns_cached(spec, kind, index)
-    return {j: [(i, _fast_scalar(v)) for i, v in col]
-            for j, col in cols.items()}
 
 
 _FRACTION_POOL = {}
@@ -408,7 +353,7 @@ def _evaluate_raw(word, spec):
         return {t: {t: 1} for t in range(spec.dim)}
     prev = _evaluate_raw(word[:-1], spec)
     tok = word[-1]
-    cols = _fast_columns(spec, tok.kind, tok.index)
+    cols = _op_columns_cached(spec, tok.kind, tok.index)
     out = {}
     for t, vec in prev.items():
         image = kernels.apply_columns(cols, vec)
@@ -445,9 +390,11 @@ def evaluate_word_sum(weighted_words, spec):
     for word, coeff in weighted_words:
         word = tuple(word)
         check_word(word, spec.d)
-        c = _fast_scalar(Fraction(coeff))
+        c = Fraction(coeff)
         if not c:
             continue
+        if c.denominator == 1:
+            c = int(c)      # plain ints multiply much faster than Fraction
         for t, vec in _evaluate_raw(word, spec).items():
             tacc = acc.get(t)
             if tacc is None:

@@ -14,15 +14,13 @@ from .brauer import (ADElement, BrauerDiagram, jm_element, psi_image,
 from .exactla import SparseMatrix
 from .superalgebra import pn_basis_with_duals
 from .tensoraction import (E, EndoOperator, S, TensorSpaceSpec, Y,
-                           evaluate_word, op_epsilon, op_omega)
+                           evaluate_word, evaluate_word_sum, op_epsilon,
+                           op_omega)
 
 
 def _word_sum(spec, parts):
-    """Exact matrix of sum(coeff * word) on the tensor space."""
-    acc = SparseMatrix(spec.dim, spec.dim)
-    for coeff, word in parts:
-        acc = acc.add(evaluate_word(list(word), spec).matrix, Fraction(coeff))
-    return acc
+    """Exact operator of sum(coeff * word) on the tensor space."""
+    return evaluate_word_sum([(word, coeff) for coeff, word in parts], spec)
 
 
 def _is_zero_identity(spec, lhs_parts, rhs_parts):

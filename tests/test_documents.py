@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from periplectic.affine import PdElement, normalize, to_daha
+from periplectic.affine import PdElement, enumerate_regular, normalize, to_daha
 from periplectic.brauer import ADElement, BrauerDiagram, jm_element
 from periplectic.documents import (DocumentError, dumps, from_document, loads,
                                    to_document)
@@ -33,6 +35,29 @@ def test_brauer_roundtrip():
 def test_daha_roundtrip():
     x = to_daha([S(1), Y(1), S(2), Y(3)], 3)
     assert roundtrip(x) == x
+
+
+@st.composite
+def regular_combinations(draw):
+    d = draw(st.integers(1, 3))
+    basis = enumerate_regular(d, 2)
+    picks = draw(st.lists(st.tuples(
+        st.sampled_from(basis),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12)),
+        max_size=6))
+    acc = {}
+    for u, c in picks:
+        acc[u] = acc.get(u, Fraction(0)) + c
+    return PdElement(d, acc)
+
+
+@given(regular_combinations())
+@settings(max_examples=60, deadline=None)
+def test_roundtrip_property_and_stable_bytes(x):
+    text = dumps(to_document(x))
+    back = from_document(loads(text))
+    assert back == x
+    assert dumps(to_document(back)) == text
 
 
 def test_zero_roundtrip():
@@ -78,6 +103,9 @@ BAD_MUTATIONS = [
     ("d bool", lambda d: d.update(kind="brauer", d=True, terms=[
         {"coeff": "1", "matching": [[1, -1]], "top_dots": [0],
          "bottom_dots": [0]}])),
+    ("vertex str", lambda d: d["terms"][0].update(matching=[["a", "b"], [2, -2]])),
+    ("vertex bool", lambda d: d["terms"][0].update(matching=[[True, -1], [2, -2]])),
+    ("vertex float", lambda d: d["terms"][0].update(matching=[[1.0, -1.0], [2, -2]])),
 ]
 
 

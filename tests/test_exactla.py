@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periplectic import exactla, kernels
+from periplectic import kernels
 from periplectic.exactla import (Echelon, NotInSpan, SparseMatrix,
                                  SparseVector, mat_mul, rank, solve_in_span)
 
@@ -42,6 +43,16 @@ def dense_rank(mat):
                 rows[r] = [v - c * w for v, w in zip(rows[r], rows[rk])]
         rk += 1
     return rk
+
+
+def integer_rows(rows):
+    """Each row times the lcm of its denominators, which keeps the rank."""
+    out = []
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        lcm = math.lcm(*(v.denominator for v in row))
+        out.append([int(v * lcm) for v in row])
+    return out
 
 
 def test_mat_mul_identity():
@@ -110,10 +121,8 @@ def test_sparse_rank_matches_bareiss(rows, weights):
     rows.append([sum(w * r[j] for w, r in zip(weights, rows))
                  for j in range(len(rows[0]))])
     m = dense(rows)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactla, "_DENSE_CELL_LIMIT", 0)
-        sparse = rank(m)
-    assert sparse == rank(m)
+    sparse = rank(m)
+    assert sparse == kernels.bareiss_rank(integer_rows(rows), m.ncols)
 
 
 def test_solve_in_span_standard_basis():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,10 +6,10 @@ import pytest
 from periplectic.exactla import SparseMatrix
 from periplectic.superalgebra import pn_basis_with_duals
 from periplectic.tensoraction import (E, EndoOperator, S, TensorSpaceSpec, Y,
-                                      check_equivariance, check_word,
-                                      commutant_dimension, evaluate_word,
-                                      g_action, op_casimir, op_epsilon,
-                                      op_omega, op_s, op_y)
+                                      apply_word_to_vector, check_equivariance,
+                                      check_word, commutant_dimension,
+                                      evaluate_word, g_action, op_casimir,
+                                      op_epsilon, op_omega, op_s, op_y)
 
 
 def vv(n):
@@ -154,6 +155,23 @@ def test_word_is_antimultiplicative():
     v = [Y(2), E(1)]
     assert evaluate_word(u + v, spec) == \
         evaluate_word(v, spec).compose(evaluate_word(u, spec))
+
+
+@pytest.mark.parametrize("n,m,d", [(2, 1, 2), (2, 0, 3)])
+def test_apply_word_to_vector_gives_the_columns_of_evaluate_word(n, m, d):
+    spec = TensorSpaceSpec(n, m, d)
+    letters = ([S(a) for a in range(1, d)] + [E(a) for a in range(1, d)]
+               + [Y(j) for j in range(1, d + 1)])
+    rng = random.Random(20 + d)
+    for _ in range(12):
+        word = [rng.choice(letters) for _ in range(rng.randint(0, 5))]
+        op = evaluate_word(word, spec)
+        columns = {}
+        for (i, t), v in op.matrix.entries.items():
+            columns.setdefault(t, {})[i] = v
+        for t in range(spec.dim):
+            got = apply_word_to_vector(word, spec, {t: Fraction(1)})
+            assert got == columns.get(t, {}), (word, t)
 
 
 def test_check_word_rejects_bad_indices():
