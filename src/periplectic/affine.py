@@ -24,13 +24,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from . import kernels
 from .brauer import (ADElement, BrauerDiagram, canonical_word, diagram_of_word,
                      enumerate_diagrams, jm_element)
 from .brauer import multiply as diagram_multiply
-from .exactla import Echelon
-from .tensoraction import (E, EndoOperator, S, TensorSpaceSpec, Y, check_word,
-                           evaluate_word, evaluate_word_sum)
+from .exactla import Combination, Echelon
+from .tensoraction import (E, TensorSpaceSpec, Y, check_word, evaluate_word,
+                           evaluate_word_sum)
 
 
 class DotDiagram:
@@ -95,27 +94,16 @@ def is_regular(x):
     return all(t in cap_r for t in range(1, x.d + 1) if x.bottom_dots[t - 1])
 
 
-class PdElement:
+class PdElement(Combination):
     """A rational combination of regular dotted diagrams on d strands."""
 
-    __slots__ = ("d", "terms")
+    __slots__ = ()
 
-    def __init__(self, d, terms=None):
-        self.d = d
-        clean = {}
-        for u, c in (terms or {}).items():
-            if u.d != d:
-                raise ValueError("mixed strand counts")
-            if not is_regular(u):
-                raise ValueError(f"monomial is not regular: {u}")
-            c = Fraction(c)
-            if c:
-                clean[u] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, d):
-        return cls(d, {})
+    def _check_key(self, u):
+        if u.d != self.d:
+            raise ValueError("mixed strand counts")
+        if not is_regular(u):
+            raise ValueError(f"monomial is not regular: {u}")
 
     @classmethod
     def one(cls, d):
@@ -124,22 +112,6 @@ class PdElement:
     @classmethod
     def from_monomial(cls, u, coeff=1):
         return cls(u.d, {u: Fraction(coeff)})
-
-    def add(self, other, scale=1):
-        if self.d != other.d:
-            raise ValueError("mixed strand counts")
-        acc = dict(self.terms)
-        kernels.combine_scaled(acc, other.terms, Fraction(scale))
-        return PdElement(self.d, acc)
-
-    def scaled(self, c):
-        return PdElement(self.d, {u: Fraction(c) * v for u, v in self.terms.items()})
-
-    def mul(self, other):
-        return multiply(self, other)
-
-    def is_zero(self):
-        return not self.terms
 
     @property
     def degree(self):
@@ -152,13 +124,6 @@ class PdElement:
         top = self.degree
         return PdElement(self.d, {u: c for u, c in self.terms.items()
                                   if u.degree == top})
-
-    def __eq__(self, other):
-        return (isinstance(other, PdElement)
-                and self.d == other.d and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.d, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -482,50 +447,17 @@ def pi_m(x, m):
 # the polynomial-extended symmetric group quotient
 # ---------------------------------------------------------------------------
 
-class DahaElement:
+class DahaElement(Combination):
     """Normal form (permutation) . v^K over the symmetric group on d letters.
 
     Terms are keyed by (one-line permutation top->bottom, v exponents).
     """
 
-    __slots__ = ("d", "terms")
-
-    def __init__(self, d, terms=None):
-        self.d = d
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[key] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, d):
-        return cls(d, {})
+    __slots__ = ()
 
     @classmethod
     def one(cls, d):
         return cls(d, {(tuple(range(1, d + 1)), (0,) * d): Fraction(1)})
-
-    def add(self, other, scale=1):
-        if self.d != other.d:
-            raise ValueError("mixed strand counts")
-        acc = dict(self.terms)
-        kernels.combine_scaled(acc, other.terms, Fraction(scale))
-        return DahaElement(self.d, acc)
-
-    def scaled(self, c):
-        return DahaElement(self.d, {k: Fraction(c) * v for k, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, DahaElement)
-                and self.d == other.d and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.d, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:

@@ -15,10 +15,9 @@ the right-action convention the matrix of x*y is Mat(y) . Mat(x).
 from fractions import Fraction
 from functools import lru_cache
 
-from . import kernels
-from .exactla import Echelon, NotInSpan, mat_mul
-from .tensoraction import (E, EndoOperator, S, TensorSpaceSpec, Token,
-                           evaluate_word)
+from . import tensoraction
+from .exactla import Combination, Echelon, NotInSpan, mat_mul
+from .tensoraction import E, S, TensorSpaceSpec, evaluate_word
 
 
 # Products are solved over the (2d)^(2d) coordinates of the n = d
@@ -142,25 +141,14 @@ class BrauerDiagram:
         return "{" + ", ".join(f"{v(a)}-{v(b)}" for a, b in self.matching) + "}"
 
 
-class ADElement:
+class ADElement(Combination):
     """A rational linear combination of diagrams on d strands."""
 
-    __slots__ = ("d", "terms")
+    __slots__ = ()
 
-    def __init__(self, d, terms=None):
-        self.d = d
-        clean = {}
-        for g, c in (terms or {}).items():
-            if g.d != d:
-                raise ValueError("mixed strand counts")
-            c = Fraction(c)
-            if c:
-                clean[g] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, d):
-        return cls(d, {})
+    def _check_key(self, g):
+        if g.d != self.d:
+            raise ValueError("mixed strand counts")
 
     @classmethod
     def one(cls, d):
@@ -169,35 +157,6 @@ class ADElement:
     @classmethod
     def from_diagram(cls, g, coeff=1):
         return cls(g.d, {g: Fraction(coeff)})
-
-    def add(self, other, scale=1):
-        if self.d != other.d:
-            raise ValueError("mixed strand counts")
-        acc = dict(self.terms)
-        kernels.combine_scaled(acc, other.terms, Fraction(scale))
-        return ADElement(self.d, acc)
-
-    def scaled(self, c):
-        return ADElement(self.d, {g: Fraction(c) * v for g, v in self.terms.items()})
-
-    def mul(self, other):
-        return multiply(self, other)
-
-    def power(self, k):
-        out = ADElement.one(self.d)
-        for _ in range(k):
-            out = multiply(out, self)
-        return out
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, ADElement)
-                and self.d == other.d and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.d, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -309,14 +268,6 @@ def canonical_word(g):
 # representation oracle
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _psi_basis(d, n):
-    """Basis matrices {diagram -> EndoOperator} at M = trivial module."""
-    spec = TensorSpaceSpec(n, 0, d)
-    return {g: evaluate_word(canonical_word(g).word, spec)
-            for g in enumerate_diagrams(d)}
-
-
 def _flatten(matrix):
     ncols = matrix.ncols
     return {r * ncols + c: v for (r, c), v in matrix.entries.items()}
@@ -326,13 +277,14 @@ def _flatten(matrix):
 def _span_solver(d):
     """All diagrams on d strands, and an exact echelon over their flattened
     images at n = d in which each image is tagged with its diagram's index."""
-    basis = _psi_basis(d, d)
+    diagrams = enumerate_diagrams(d)
     echelon = Echelon(TensorSpaceSpec(d, 0, d).dim ** 2)
-    for idx, (g, op) in enumerate(basis.items()):
-        if not echelon.add(_flatten(op.matrix), idx):
+    for idx, g in enumerate(diagrams):
+        image = psi_image(ADElement.from_diagram(g), d)
+        if not echelon.add(_flatten(image.matrix), idx):
             raise AssertionError(
                 f"psi images dependent at d={d}, n={d}: diagram {g}")
-    return tuple(basis), echelon
+    return diagrams, echelon
 
 
 def _solve_diagrams(d, matrix):
@@ -344,14 +296,9 @@ def _solve_diagrams(d, matrix):
 
 def psi_image(x, n):
     """The m = 0 image of an ADElement, as an EndoOperator."""
-    spec = TensorSpaceSpec(n, 0, x.d)
-    basis = _psi_basis(x.d, n) if n == x.d else None
-    acc = EndoOperator.zero(spec)
-    for g, c in x.terms.items():
-        op = basis[g] if basis is not None else evaluate_word(
-            canonical_word(g).word, spec)
-        acc = acc.add(op, c)
-    return acc
+    return tensoraction.evaluate_word_sum(
+        ((canonical_word(g).word, c) for g, c in x.terms.items()),
+        TensorSpaceSpec(n, 0, x.d))
 
 
 def diagram_of_word(word, d):

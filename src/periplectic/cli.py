@@ -137,7 +137,8 @@ def verify_cmd(suite, n, m, d, max_degree, as_json):
     """Run one verification suite and report PASS/FAIL per check."""
     params = {"n": n, "m": m, "d": d, "max_degree": max_degree}
     lows = {"n": 1, "m": 0, "d": 1, "max_degree": 0}
-    for key in verify.SUITES[suite]:
+    run, keys = verify.SUITES[suite]
+    for key in keys:
         if params[key] > _VERIFY_CAPS[key]:
             raise click.ClickException(
                 f"--{key.replace('_', '-')} {params[key]} exceeds the cap "
@@ -146,8 +147,7 @@ def verify_cmd(suite, n, m, d, max_degree, as_json):
         if params[key] < lows[key]:
             raise click.ClickException(
                 f"--{key.replace('_', '-')} must be at least {lows[key]}")
-    records = verify.run_suite(suite, **{k: params[k]
-                                         for k in verify.SUITES[suite]})
+    records = run(*(params[k] for k in keys))
     sys.exit(_report(records, as_json))
 
 

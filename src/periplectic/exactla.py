@@ -6,7 +6,8 @@ only nonzero entries, keyed by index respectively (row, col) pairs.
 
 `Echelon` is the one row echelon: `rank` counts the rows it keeps and
 `solve_in_span` reads a combination back from it, both through the single
-reduction loop `kernels.reduce_against`.
+reduction loop `kernels.reduce_against`.  `Combination` is the one element
+type behind the diagram, affine and polynomial-quotient algebras.
 """
 
 from fractions import Fraction
@@ -25,6 +26,57 @@ def _norm_entries(entries):
         if q:
             out[k] = q
     return out
+
+
+class Combination:
+    """A rational combination of basis keys on d strands: `terms` maps
+    key -> nonzero Fraction.
+
+    Each algebra's element type subclasses it, naming its basis keys and
+    checking every key in `_check_key`.  Elements of different types are
+    never equal, even when both are zero.
+    """
+
+    __slots__ = ("d", "terms")
+
+    def __init__(self, d, terms=None):
+        self.d = d
+        check = self._check_key
+        clean = {}
+        for key, c in (terms or {}).items():
+            check(key)
+            c = Fraction(c)
+            if c:
+                clean[key] = c
+        self.terms = clean
+
+    def _check_key(self, key):
+        """Raise ValueError unless `key` is a basis key on self.d strands."""
+
+    @classmethod
+    def zero(cls, d):
+        return cls(d, {})
+
+    def add(self, other, scale=1):
+        if self.d != other.d:
+            raise ValueError("mixed strand counts")
+        acc = dict(self.terms)
+        kernels.combine_scaled(acc, other.terms, Fraction(scale))
+        return type(self)(self.d, acc)
+
+    def scaled(self, c):
+        c = Fraction(c)
+        return type(self)(self.d, {k: c * v for k, v in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self.d == other.d and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.d, frozenset(self.terms.items())))
 
 
 class SparseVector:

@@ -51,16 +51,15 @@ def apply_columns(cols, vec):
 
 
 def matmul_dicts(a_rows, b_rows):
-    """Row-major sparse product: (A @ B)[i] = sum_k A[i][k] * B[k]."""
+    """Row-major sparse product: (A @ B)[i] = sum_k A[i][k] * B[k].
+
+    ``b_rows`` is a list with one dict per column index of A.
+    """
     out = []
     for arow in a_rows:
         acc = {}
         for k, aik in arow.items():
-            brow = b_rows.get(k) if isinstance(b_rows, dict) else (
-                b_rows[k] if k < len(b_rows) else None)
-            if not brow:
-                continue
-            for j, bkj in brow.items():
+            for j, bkj in b_rows[k].items():
                 w = acc.get(j)
                 if w is None:
                     acc[j] = aik * bkj

@@ -415,13 +415,19 @@ def evaluate_word_sum(weighted_words, spec):
 # g-action, equivariance, commutant
 # ---------------------------------------------------------------------------
 
-def g_action(x, spec):
-    """Superderivation action of a homogeneous matrix on the full tensor space."""
+def g_action(x, spec, slots=None):
+    """Superderivation action of a homogeneous matrix on the tensor space.
+
+    It acts on the listed slots (ascending; default all), and the sign at a
+    slot counts the parity of the earlier listed slots only.
+    """
     spec.validate()
     if x.declared_parity is None:
         raise ValueError("g_action needs a homogeneous (declared-parity) matrix")
     if x.n != spec.n:
         raise ValueError("size mismatch")
+    if slots is None:
+        slots = range(spec.nslots)
     n = spec.n
     par = x.declared_parity
     x_cols = {}
@@ -431,7 +437,7 @@ def g_action(x, spec):
     for t in range(spec.dim):
         dg = spec.digits(t)
         prefix = 0
-        for s in range(spec.nslots):
+        for s in slots:
             hit = x_cols.get(dg[s])
             if hit:
                 sgn = -1 if (par and prefix % 2) else 1

@@ -11,11 +11,9 @@ from fractions import Fraction
 from .affine import DahaElement, pbw_rank_check, enumerate_regular, to_daha
 from .brauer import (ADElement, BrauerDiagram, jm_element, psi_image,
                      multiply as diagram_multiply)
-from .exactla import SparseMatrix
 from .superalgebra import pn_basis_with_duals
-from .tensoraction import (E, EndoOperator, S, TensorSpaceSpec, Y,
-                           evaluate_word, evaluate_word_sum, op_epsilon,
-                           op_omega)
+from .tensoraction import (E, S, TensorSpaceSpec, Y, evaluate_word,
+                           evaluate_word_sum, g_action, op_epsilon, op_omega)
 
 
 def _word_sum(spec, parts):
@@ -110,35 +108,6 @@ def relations_suite(n, m, d):
 # identities behind the bend relations
 # ---------------------------------------------------------------------------
 
-def _pair_derivation(spec, i, x):
-    """x acting on the two slots of positions i, i+1 only, with the local
-    two-factor sign and no contribution from slots further left."""
-    n = spec.n
-    p = spec.m + i - 1
-    par = x.declared_parity
-    cols = {}
-    for (r, c), v in x.data.entries.items():
-        cols.setdefault(c, []).append((r, v))
-    ent = {}
-    for t in range(spec.dim):
-        dg = spec.digits(t)
-        for s, local_sign_on in ((p, False), (p + 1, True)):
-            hit = cols.get(dg[s])
-            if not hit:
-                continue
-            sgn = -1 if (local_sign_on and par and dg[p] >= n) else 1
-            for sout, v in hit:
-                nd = list(dg)
-                nd[s] = sout
-                key = (spec.rank(nd), t)
-                w = ent.get(key, Fraction(0)) + sgn * v
-                if w:
-                    ent[key] = w
-                elif key in ent:
-                    del ent[key]
-    return EndoOperator(spec, SparseMatrix(spec.dim, spec.dim, ent))
-
-
 def appendix_suite(n, m, d):
     """The identity lemmas feeding the bend relations, checked exactly."""
     spec = TensorSpaceSpec(n, m, d).validate()
@@ -147,9 +116,10 @@ def appendix_suite(n, m, d):
 
     for i in range(1, d):
         eps = op_epsilon(i, spec)
+        p = spec.m + i - 1
         ok1 = ok2 = True
         for pair in pairs:
-            der = _pair_derivation(spec, i, pair.basis_element)
+            der = g_action(pair.basis_element, spec, (p, p + 1))
             if not der.compose(eps).is_zero():
                 ok1 = False
             if not eps.compose(der).is_zero():
@@ -289,24 +259,11 @@ def daha_suite(d):
     return out
 
 
+# suite name -> (suite function, its CLI parameters in call order)
 SUITES = {
-    "relations": ("n", "m", "d"),
-    "appendix": ("n", "m", "d"),
-    "jm": ("n", "d"),
-    "pbw": ("d", "max_degree", "n"),
-    "daha": ("d",),
+    "relations": (relations_suite, ("n", "m", "d")),
+    "appendix": (appendix_suite, ("n", "m", "d")),
+    "jm": (jm_suite, ("n", "d")),
+    "pbw": (pbw_suite, ("d", "max_degree", "n")),
+    "daha": (daha_suite, ("d",)),
 }
-
-
-def run_suite(name, **params):
-    if name == "relations":
-        return relations_suite(params["n"], params["m"], params["d"])
-    if name == "appendix":
-        return appendix_suite(params["n"], params["m"], params["d"])
-    if name == "jm":
-        return jm_suite(params["n"], params["d"])
-    if name == "pbw":
-        return pbw_suite(params["d"], params["max_degree"], params["n"])
-    if name == "daha":
-        return daha_suite(params["d"])
-    raise ValueError(f"unknown suite {name!r}")

@@ -8,7 +8,8 @@ from periplectic.brauer import (ADElement, BrauerDiagram, canonical_word,
                                 jm_element, marked_pair, matching_of_operator,
                                 multiply, psi_image)
 from periplectic.exactla import SparseVector, rank, solve_in_span
-from periplectic.tensoraction import E, S, TensorSpaceSpec, evaluate_word
+from periplectic.tensoraction import (E, EndoOperator, S, TensorSpaceSpec,
+                                      evaluate_word)
 
 
 def double_factorial(k):
@@ -171,6 +172,30 @@ def test_psi_images_independent_at_n_equals_d(d):
             rows[(r, i * dim + j)] = v
     from periplectic.exactla import SparseMatrix
     assert rank(SparseMatrix(len(diagrams), dim * dim, rows)) == len(diagrams)
+
+
+def _psi_by_fold(x, n):
+    """The image of x as a sum of canonical-word images, one at a time."""
+    spec = TensorSpaceSpec(n, 0, x.d)
+    acc = EndoOperator.zero(spec)
+    for g, c in x.terms.items():
+        acc = acc.add(evaluate_word(canonical_word(g).word, spec), c)
+    return acc
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_psi_image_matches_the_fold_of_word_images(d):
+    rng = random.Random(500 + d)
+    diagrams = enumerate_diagrams(d)
+    elements = [ADElement.zero(d), jm_element(d, d)]
+    for _ in range(6):
+        picks = rng.sample(diagrams, rng.randint(1, len(diagrams)))
+        elements.append(ADElement(d, {g: Fraction(rng.randint(-6, 6),
+                                                  rng.randint(1, 4))
+                                      for g in picks}))
+    for n in (d, d + 1):
+        for x in elements:
+            assert psi_image(x, n) == _psi_by_fold(x, n)
 
 
 # commuting family ----------------------------------------------------------

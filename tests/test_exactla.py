@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from periplectic import kernels
+from periplectic.affine import DahaElement, PdElement, normalize, to_daha
+from periplectic.brauer import ADElement, jm_element
 from periplectic.exactla import (Echelon, NotInSpan, SparseMatrix,
                                  SparseVector, mat_mul, rank, solve_in_span)
+from periplectic.tensoraction import S, Y
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 
@@ -207,3 +210,28 @@ def test_echelon_add_and_solve():
     assert back == target
     with pytest.raises(NotInSpan):
         echelon.solve({2: Fraction(1)})
+
+
+# element combinations ------------------------------------------------------
+
+ELEMENTS = {
+    "ADElement": lambda: jm_element(2, 2),
+    "PdElement": lambda: normalize([S(1), Y(1)], 2),
+    "DahaElement": lambda: to_daha([Y(1), S(1)], 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ELEMENTS))
+def test_element_types_share_one_combination(kind):
+    x = ELEMENTS[kind]()
+    assert len(x.terms) >= 2
+    for other in (ADElement, PdElement, DahaElement):
+        assert (type(x).zero(2) == other.zero(2)) == (other is type(x))
+    twin = type(x)(x.d, dict(x.terms))
+    assert twin == x and hash(twin) == hash(x)
+    assert type(x)(x.d, x.terms) == x
+    with pytest.raises(ValueError):
+        x.add(type(x).zero(x.d + 1))
+    assert x.scaled(0).is_zero()
+    assert x.add(x, -1).is_zero()
+    assert x.scaled(Fraction(1, 2)).add(x, Fraction(1, 2)) == x
