@@ -545,9 +545,9 @@ def pbw_rank_check(d, max_degree, n):
     for m in range(max_degree + 2):
         spec = TensorSpaceSpec(n, m, d)
         for row, w in zip(rows, words):
-            op = evaluate_word(w, spec)
-            for (r, c), v in op.matrix.entries.items():
-                row[offset + r * spec.dim + c] = v
+            for c, col in evaluate_word(w, spec).columns.items():
+                for r, v in col.items():
+                    row[offset + r * spec.dim + c] = v
         offset += spec.dim * spec.dim
         echelon = Echelon()
         rank = sum(echelon.add(row) for row in rows)

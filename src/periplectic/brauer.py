@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import tensoraction
 from .exactla import Combination, Echelon, NotInSpan, mat_mul
-from .tensoraction import E, S, TensorSpaceSpec, evaluate_word
+from .tensoraction import E, EndoOperator, S, TensorSpaceSpec, evaluate_word
 
 
 # Products are solved over the (2d)^(2d) coordinates of the n = d
@@ -268,9 +268,11 @@ def canonical_word(g):
 # representation oracle
 # ---------------------------------------------------------------------------
 
-def _flatten(matrix):
-    ncols = matrix.ncols
-    return {r * ncols + c: v for (r, c), v in matrix.entries.items()}
+def _flatten(op):
+    """The operator's entries as one row: entry (r, c) at r * dim + c."""
+    dim = op.spec.dim
+    return {r * dim + c: v for c, col in op.columns.items()
+            for r, v in col.items()}
 
 
 @lru_cache(maxsize=None)
@@ -281,16 +283,16 @@ def _span_solver(d):
     echelon = Echelon(TensorSpaceSpec(d, 0, d).dim ** 2)
     for idx, g in enumerate(diagrams):
         image = psi_image(ADElement.from_diagram(g), d)
-        if not echelon.add(_flatten(image.matrix), idx):
+        if not echelon.add(_flatten(image), idx):
             raise AssertionError(
                 f"psi images dependent at d={d}, n={d}: diagram {g}")
     return diagrams, echelon
 
 
-def _solve_diagrams(d, matrix):
-    """The ADElement whose image at n = d is `matrix`."""
+def _solve_diagrams(d, op):
+    """The ADElement whose image at n = d is the operator `op`."""
     diagrams, echelon = _span_solver(d)
-    combo = echelon.solve(_flatten(matrix))
+    combo = echelon.solve(_flatten(op))
     return ADElement(d, {diagrams[i]: c for i, c in combo.items()})
 
 
@@ -307,9 +309,9 @@ def diagram_of_word(word, d):
     n = d
     spec = TensorSpaceSpec(n, 0, d)
     op = evaluate_word(word, spec)
-    if not op.matrix.entries:
+    if op.is_zero():
         return ADElement.zero(d)
-    return _solve_diagrams(d, op.matrix)
+    return _solve_diagrams(d, op)
 
 
 def multiply(x, y):
@@ -323,8 +325,9 @@ def multiply(x, y):
     _check_product_size(d)
     mx = psi_image(x, n).matrix
     my = psi_image(y, n).matrix
+    product = EndoOperator(TensorSpaceSpec(n, 0, d), mat_mul(my, mx))
     try:
-        return _solve_diagrams(d, mat_mul(my, mx))
+        return _solve_diagrams(d, product)
     except NotInSpan as exc:   # pragma: no cover - internal consistency
         raise AssertionError(
             f"product left the diagram span at d={d}, n={n}") from exc
@@ -357,9 +360,9 @@ def matching_of_operator(op, d):
     if spec.m != 0 or spec.d != d:
         raise ValueError("operator/diagram shape mismatch")
     support = []
-    for (r, c) in op.matrix.entries:
+    for c, col in op.columns.items():
         # top row = input digits (column), bottom row = output digits (row)
-        support.append((spec.digits(c), spec.digits(r)))
+        support.extend((spec.digits(c), spec.digits(r)) for r in col)
     if not support:
         raise ValueError("zero operator has no matching pattern")
 

@@ -1,13 +1,18 @@
 """Exact sparse linear algebra over the rationals.
 
-Coefficients are `fractions.Fraction` throughout; there is no floating point
-and no modular shortcut anywhere in this package.  Vectors and matrices store
-only nonzero entries, keyed by index respectively (row, col) pairs.
+Every value is an exact int or `fractions.Fraction`; there is no floating
+point and no modular shortcut anywhere in this package.  Tensor-space
+operators (`tensoraction.EndoOperator`) keep their entries as int or
+Fraction columns and hand out a `SparseMatrix` view for the (row, col)
+callers: `mat_mul`, equivariance and the benchmark.  A `SparseMatrix` stores
+only nonzero entries, keyed by (row, col) pairs; its constructor makes them
+Fractions.
 
 `Echelon` is the one row echelon: `rank` counts the rows it keeps and
-`solve_in_span` reads a combination back from it, both through the single
-reduction loop `kernels.reduce_against`.  `Combination` is the one element
-type behind the diagram, affine and polynomial-quotient algebras.
+`solve_in_span` reads a combination of dict vectors back from it, both
+through the single reduction loop `kernels.reduce_against`.  `Combination`
+is the one element type behind the diagram, affine and polynomial-quotient
+algebras.
 """
 
 from fractions import Fraction
@@ -79,49 +84,9 @@ class Combination:
         return hash((self.d, frozenset(self.terms.items())))
 
 
-class SparseVector:
-    """Sparse column vector: `entries` maps index -> nonzero Fraction."""
-
-    __slots__ = ("length", "entries")
-
-    def __init__(self, length, entries=None):
-        self.length = int(length)
-        self.entries = _norm_entries(entries or {})
-        for i in self.entries:
-            if not 0 <= i < self.length:
-                raise IndexError(f"index {i} out of range for length {self.length}")
-
-    def __getitem__(self, i):
-        return self.entries.get(i, Fraction(0))
-
-    def __eq__(self, other):
-        return (isinstance(other, SparseVector)
-                and self.length == other.length
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.length, frozenset(self.entries.items())))
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def add(self, other, scale=1):
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        acc = dict(self.entries)
-        kernels.combine_scaled(acc, other.entries, Fraction(scale))
-        return SparseVector(self.length, acc)
-
-    def scaled(self, c):
-        c = Fraction(c)
-        return SparseVector(self.length, {i: c * v for i, v in self.entries.items()})
-
-    def __repr__(self):
-        return f"SparseVector({self.length}, {dict(sorted(self.entries.items()))})"
-
-
 class SparseMatrix:
-    """Sparse matrix: `entries` maps (row, col) -> nonzero Fraction."""
+    """Sparse matrix: `entries` maps (row, col) -> nonzero Fraction (or int,
+    in an operator's view)."""
 
     __slots__ = ("nrows", "ncols", "entries")
 
@@ -137,12 +102,6 @@ class SparseMatrix:
     @classmethod
     def identity(cls, n):
         return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    def to_dense(self):
-        rows = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
 
     def __getitem__(self, key):
         return self.entries.get(key, Fraction(0))
@@ -260,16 +219,16 @@ def rank(a):
 
 
 def solve_in_span(basis, target):
-    """Express `target` as a rational combination of `basis` vectors.
+    """Express the dict vector `target` as a rational combination of the
+    dict vectors in `basis`.
 
     Returns a list of Fraction coefficients (one per basis vector).  Raises
     NotInSpan if no exact combination exists.  If the basis is linearly
     dependent an arbitrary valid combination is returned.
     """
-    if any(v.length != target.length for v in basis):
-        raise ValueError("length mismatch between basis and target")
-    echelon = Echelon(target.length)
+    echelon = Echelon(1 + max((i for v in (*basis, target) for i in v),
+                              default=0))
     for idx, vec in enumerate(basis):
-        echelon.add(vec.entries, idx)
-    combo = echelon.solve(target.entries)
+        echelon.add(vec, idx)
+    combo = echelon.solve(target)
     return [combo.get(i, Fraction(0)) for i in range(len(basis))]

@@ -103,10 +103,9 @@ def bareiss_rank(rows, ncols):
             if rv:
                 for cc in range(col, ncols):
                     rr[cc] = (pv * rr[cc] - rv * pr[cc]) // prev
-            else:
-                if prev != 1:
-                    for cc in range(col, ncols):
-                        rr[cc] = (pv * rr[cc]) // prev
+            elif pv != prev:
+                for cc in range(col, ncols):
+                    rr[cc] = (pv * rr[cc]) // prev
         prev = pv
         row += 1
         rank += 1

@@ -99,59 +99,112 @@ class TensorSpaceSpec(NamedTuple):
 
 
 class EndoOperator:
-    """An explicit exact endomorphism of M (x) V^(x)d."""
+    """An explicit exact endomorphism of M (x) V^(x)d.
 
-    __slots__ = ("spec", "matrix")
+    `columns` maps an input basis index to its image, a dict
+    {output index: nonzero int or Fraction}; zero columns are left out.  The
+    table may be shared with the word-image cache, so it is read-only: no
+    method changes it.  `matrix` is the same operator as a (row, col)-keyed
+    SparseMatrix, built on first use.
+    """
+
+    __slots__ = ("spec", "columns", "_matrix")
 
     def __init__(self, spec, matrix):
         if matrix.nrows != matrix.ncols or matrix.nrows != spec.dim:
             raise ValueError("matrix size does not match the tensor space")
+        cols = {}
+        for (i, j), v in matrix.entries.items():
+            cols.setdefault(j, {})[i] = v
         self.spec = spec
-        self.matrix = matrix
+        self.columns = cols
+        self._matrix = matrix
 
     @classmethod
-    def from_columns(cls, spec, cols):
-        ent = {}
-        for j, col in cols.items():
-            for i, v in col:
-                ent[(i, j)] = ent.get((i, j), 0) + v
-        op = cls(spec, SparseMatrix(spec.dim, spec.dim,
-                                    {k: v for k, v in ent.items() if v}))
+    def _wrap(cls, spec, columns):
+        """The operator with this column table, which it keeps uncopied."""
+        op = cls.__new__(cls)
+        op.spec = spec
+        op.columns = columns
+        op._matrix = None
         return op
 
     @classmethod
+    def from_columns(cls, spec, cols):
+        """The operator of list columns {in: [(out, value), ...]}, each
+        output listed once with a nonzero value and no column empty."""
+        return cls._wrap(spec, {j: dict(col) for j, col in cols.items()})
+
+    @classmethod
     def identity(cls, spec):
-        return cls(spec, SparseMatrix.identity(spec.dim))
+        return cls._wrap(spec, {t: {t: 1} for t in range(spec.dim)})
 
     @classmethod
     def zero(cls, spec):
-        return cls(spec, SparseMatrix(spec.dim, spec.dim))
+        return cls._wrap(spec, {})
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            view = SparseMatrix.__new__(SparseMatrix)
+            view.nrows = view.ncols = self.spec.dim
+            view.entries = {(i, j): v for j, col in self.columns.items()
+                            for i, v in col.items()}
+            self._matrix = view
+        return self._matrix
 
     def apply_dict(self, vec):
-        return kernels.apply_columns(self.matrix.columns(), vec)
+        out = {}
+        get = self.columns.get
+        for j, c in vec.items():
+            col = get(j)
+            if col:
+                kernels.combine_scaled(out, col, c)
+        return out
 
     def compose(self, other):
         """self after other (usual operator composition)."""
         return EndoOperator(self.spec, mat_mul(self.matrix, other.matrix))
 
     def add(self, other, scale=1):
-        return EndoOperator(self.spec, self.matrix.add(other.matrix, scale))
+        if self.spec.dim != other.spec.dim:
+            raise ValueError("shape mismatch")
+        scale = _scalar(scale)
+        cols = {j: dict(col) for j, col in self.columns.items()}
+        for j, col in other.columns.items():
+            if not kernels.combine_scaled(cols.setdefault(j, {}), col, scale):
+                del cols[j]
+        return EndoOperator._wrap(self.spec, cols)
 
     def scaled(self, c):
-        return EndoOperator(self.spec, self.matrix.scaled(c))
+        c = _scalar(c)
+        if not c:
+            return EndoOperator.zero(self.spec)
+        return EndoOperator._wrap(
+            self.spec, {j: {i: c * v for i, v in col.items()}
+                        for j, col in self.columns.items()})
 
     def is_zero(self):
-        return not self.matrix.entries
+        return not self.columns
 
     def __eq__(self, other):
         return (isinstance(other, EndoOperator) and self.spec == other.spec
-                and self.matrix == other.matrix)
+                and self.columns == other.columns)
 
     def __hash__(self):
-        return hash((self.spec, self.matrix))
+        return hash((self.spec, frozenset(
+            (j, frozenset(col.items())) for j, col in self.columns.items())))
 
     def __repr__(self):
-        return f"EndoOperator({self.spec}, {len(self.matrix.entries)} nonzero)"
+        nnz = sum(map(len, self.columns.values()))
+        return f"EndoOperator({self.spec}, {nnz} nonzero)"
+
+
+def _scalar(c):
+    """c as an exact scalar: an int when it is integral, since ints multiply
+    much faster than Fractions."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 @lru_cache(maxsize=None)
@@ -313,33 +366,6 @@ def apply_word_to_vector(word, spec, vec):
     return vec
 
 
-_FRACTION_POOL = {}
-
-
-def _pooled_fraction(v):
-    """Coerce an exact scalar (int or Fraction) to a shared Fraction.
-
-    Sharing matters: operator equality bottoms out in dict equality, which
-    short-circuits on identical value objects.  The pool stays small because
-    matrix entries are short signed sums of products of +-1, +-2, +-1/2.
-    """
-    key = (v.numerator, v.denominator)
-    f = _FRACTION_POOL.get(key)
-    if f is None:
-        f = _FRACTION_POOL[key] = Fraction(*key)
-    return f
-
-
-def _trusted_matrix(dim, ent):
-    # entries are already nonzero pooled Fractions with in-range keys; skip
-    # the general constructor's re-validation pass over them
-    m = SparseMatrix.__new__(SparseMatrix)
-    m.nrows = dim
-    m.ncols = dim
-    m.entries = ent
-    return m
-
-
 @lru_cache(maxsize=512)
 def _evaluate_raw(word, spec):
     """Matrix of the word as column dicts {in: {out: value}} (int/Fraction).
@@ -367,15 +393,12 @@ def evaluate_word(word, spec):
 
     Reading the word left to right and applying each generator in turn
     realizes v . (g1 g2 ... gk); as a matrix this is Mat(gk) ... Mat(g1).
+    The operator wraps the cached column table of `_evaluate_raw` as it is.
     """
     spec.validate()
     word = tuple(word)
     check_word(word, spec.d)
-    ent = {}
-    for t, vec in _evaluate_raw(word, spec).items():
-        for i, v in vec.items():
-            ent[(i, t)] = _pooled_fraction(v)
-    return EndoOperator(spec, _trusted_matrix(spec.dim, ent))
+    return EndoOperator._wrap(spec, _evaluate_raw(word, spec))
 
 
 def evaluate_word_sum(weighted_words, spec):
@@ -390,11 +413,9 @@ def evaluate_word_sum(weighted_words, spec):
     for word, coeff in weighted_words:
         word = tuple(word)
         check_word(word, spec.d)
-        c = Fraction(coeff)
+        c = _scalar(coeff)
         if not c:
             continue
-        if c.denominator == 1:
-            c = int(c)      # plain ints multiply much faster than Fraction
         for t, vec in _evaluate_raw(word, spec).items():
             tacc = acc.get(t)
             if tacc is None:
@@ -402,13 +423,15 @@ def evaluate_word_sum(weighted_words, spec):
                 continue
             for i, v in vec.items():
                 w = tacc.get(i)
-                tacc[i] = c * v if w is None else w + c * v
-    ent = {}
-    for t, tacc in acc.items():
-        for i, v in tacc.items():
-            if v:
-                ent[(i, t)] = _pooled_fraction(v)
-    return EndoOperator(spec, _trusted_matrix(spec.dim, ent))
+                if w is None:
+                    tacc[i] = c * v
+                else:
+                    w = w + c * v
+                    if w:
+                        tacc[i] = w
+                    else:
+                        del tacc[i]
+    return EndoOperator._wrap(spec, {t: col for t, col in acc.items() if col})
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +456,11 @@ def g_action(x, spec, slots=None):
     x_cols = {}
     for (i, j), v in x.data.entries.items():
         x_cols.setdefault(j, []).append((i, v))
-    ent = {}
+    cols = {}
     for t in range(spec.dim):
         dg = spec.digits(t)
         prefix = 0
+        col = {}
         for s in slots:
             hit = x_cols.get(dg[s])
             if hit:
@@ -445,14 +469,12 @@ def g_action(x, spec, slots=None):
                     nd = list(dg)
                     nd[s] = sout
                     r = spec.rank(nd)
-                    key = (r, t)
-                    w = ent.get(key, 0) + sgn * v
-                    if w:
-                        ent[key] = w
-                    elif key in ent:
-                        del ent[key]
+                    col[r] = col.get(r, 0) + sgn * v
             prefix += _parity(n, dg[s])
-    return EndoOperator(spec, SparseMatrix(spec.dim, spec.dim, ent))
+        col = {r: v for r, v in col.items() if v}
+        if col:
+            cols[t] = col
+    return EndoOperator._wrap(spec, cols)
 
 
 def check_equivariance(op, spec=None):
@@ -500,17 +522,18 @@ def commutant_dimension(spec):
     for pair in pn_basis_with_duals(spec.n):
         rho = g_action(pair.basis_element, spec)
         eqs = {}
-        for (a, b), v in rho.matrix.entries.items():
-            # T[t,a] * rho[a,b] lands in equation (t, b)
-            for t in blocks.get(wt[a], ()):
-                key = (t, b)
-                eqs.setdefault(key, {})[unk[(t, a)]] = \
-                    eqs.get(key, {}).get(unk[(t, a)], Fraction(0)) + v
-            # -rho[a,b] * T[b,u] lands in equation (a, u)
-            for u in blocks.get(wt[b], ()):
-                key = (a, u)
-                eqs.setdefault(key, {})[unk[(b, u)]] = \
-                    eqs.get(key, {}).get(unk[(b, u)], Fraction(0)) - v
+        for b, col in rho.columns.items():
+            for a, v in col.items():
+                # T[t,a] * rho[a,b] lands in equation (t, b)
+                for t in blocks.get(wt[a], ()):
+                    key = (t, b)
+                    eqs.setdefault(key, {})[unk[(t, a)]] = \
+                        eqs.get(key, {}).get(unk[(t, a)], Fraction(0)) + v
+                # -rho[a,b] * T[b,u] lands in equation (a, u)
+                for u in blocks.get(wt[b], ()):
+                    key = (a, u)
+                    eqs.setdefault(key, {})[unk[(b, u)]] = \
+                        eqs.get(key, {}).get(unk[(b, u)], Fraction(0)) - v
         rows.extend(r for r in eqs.values())
     echelon = Echelon()
     rank = sum(echelon.add({k: v for k, v in row.items() if v})

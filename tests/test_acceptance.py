@@ -14,7 +14,7 @@ from periplectic.affine import (enumerate_regular, normalize, pbw_rank_check,
                                 pi_m_word, tensor_image)
 from periplectic.brauer import (ADElement, BrauerDiagram, enumerate_diagrams,
                                 jm_element, multiply as ad_multiply, psi_image)
-from periplectic.exactla import SparseMatrix, SparseVector, rank
+from periplectic.exactla import SparseMatrix, rank
 from periplectic.tensoraction import (E, EndoOperator, S, TensorSpaceSpec, Y,
                                       commutant_dimension, evaluate_word,
                                       op_casimir, op_epsilon, op_s)

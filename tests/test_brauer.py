@@ -7,7 +7,7 @@ from periplectic.brauer import (ADElement, BrauerDiagram, canonical_word,
                                 diagram_of_word, enumerate_diagrams,
                                 jm_element, marked_pair, matching_of_operator,
                                 multiply, psi_image)
-from periplectic.exactla import SparseVector, rank, solve_in_span
+from periplectic.exactla import rank, solve_in_span
 from periplectic.tensoraction import (E, EndoOperator, S, TensorSpaceSpec,
                                       evaluate_word)
 
@@ -144,8 +144,7 @@ def test_product_independent_of_representation_size():
 
     def flat(op):
         dim = op.spec.dim
-        return SparseVector(dim * dim, {i * dim + j: v
-                                        for (i, j), v in op.matrix.entries.items()})
+        return {i * dim + j: v for (i, j), v in op.matrix.entries.items()}
 
     diagrams = enumerate_diagrams(d)
     basis = [flat(psi_image(ADElement.from_diagram(g), d + 1)) for g in diagrams]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from periplectic.exactla import SparseVector, solve_in_span
+from periplectic.exactla import solve_in_span
 from periplectic.superalgebra import (ParityIndex, SuperMatrix, is_pn_member,
                                       odd_form, pn_basis_with_duals,
                                       superbracket, supertrace)
@@ -151,11 +151,9 @@ def test_zero_is_member():
 
 def test_bracket_closure_and_parity_constraint():
     pairs = pn_basis_with_duals(2)
-    dim = 4 * 4
 
     def flat(x):
-        return SparseVector(dim, {4 * i + j: v
-                                  for (i, j), v in x.data.entries.items()})
+        return {4 * i + j: v for (i, j), v in x.data.entries.items()}
 
     basis_vecs = [flat(p.basis_element) for p in pairs]
     for pa in pairs:
