@@ -28,6 +28,7 @@ from .brauer import (ADElement, BrauerDiagram, canonical_word, diagram_of_word,
                      enumerate_diagrams, jm_element)
 from .brauer import multiply as diagram_multiply
 from .exactla import Combination, Echelon
+from .kernels import combine_scaled
 from .tensoraction import (E, TensorSpaceSpec, Y, check_word, evaluate_word,
                            evaluate_word_sum)
 
@@ -266,47 +267,63 @@ def _emit(out, key, coeff):
         del out[key]
 
 
-def _regularize(d, top, g, bottom, coeff, out):
+def _regularize(d, top, g, bottom, coeff, out, memo):
     """Accumulate coeff * y^top . g . y^bottom into out as regular monomials.
+
+    The result is linear in coeff: `_walk`'s output at coefficient 1 is kept
+    in `memo` under (g, top, bottom) and scaled into out, so correction
+    terms that recur are walked once.
+    """
+    if not coeff:
+        return
+    # a zero count in top or bottom would only split one key in two
+    key = (g, frozenset(top.items()), frozenset(bottom.items()))
+    unit = memo.get(key)
+    if unit is None:
+        unit = memo[key] = _walk(d, top, g, bottom, memo)
+    combine_scaled(out, unit, coeff)
+
+
+def _walk(d, top, g, bottom, memo):
+    """y^top . g . y^bottom as regular monomials, {monomial: coefficient}.
 
     top/bottom map 1-based positions to dot counts and may contain illegal
     placements; each illegal power is walked along its strand, one power at
     a time, until every dot rests at a legal endpoint.
     """
-    if not coeff:
-        return
+    out = {}
     cap_r = _cap_right_ends(g)
-    bad_bottom = sorted(t for t, c in bottom.items() if c and t not in cap_r)
+    bad_bottom = [t for t, c in bottom.items() if c and t not in cap_r]
     if bad_bottom:
-        t = bad_bottom[0]
+        t = min(bad_bottom)
         rest = _bump(bottom, t, -1)
         word = _cw(g)
         (side, land), corr = _journey(word, d, len(word), t, True)
         for sgn, w2 in corr:
             for g2, c2 in _compose(w2, d).terms.items():
-                _regularize(d, top, g2, rest, coeff * sgn * c2, out)
+                _regularize(d, top, g2, rest, sgn * c2, out, memo)
         if side == "top":
-            _regularize(d, _bump(top, land), g, rest, coeff, out)
+            _regularize(d, _bump(top, land), g, rest, 1, out, memo)
         else:
-            _regularize(d, top, g, _bump(rest, land), coeff, out)
-        return
+            _regularize(d, top, g, _bump(rest, land), 1, out, memo)
+        return out
     cup_r = _cup_right_ends(g)
-    bad_top = sorted(k for k, c in top.items() if c and k in cup_r)
+    bad_top = [k for k, c in top.items() if c and k in cup_r]
     if bad_top:
-        k = bad_top[0]
+        k = min(bad_top)
         rest = _bump(top, k, -1)
         word = _cw(g)
         (side, land), corr = _journey(word, d, 0, k, False)
         for sgn, w2 in corr:
             for g2, c2 in _compose(w2, d).terms.items():
-                _regularize(d, rest, g2, bottom, coeff * sgn * c2, out)
+                _regularize(d, rest, g2, bottom, sgn * c2, out, memo)
         assert side == "top", "a cup right end must walk back to the top row"
-        _regularize(d, _bump(rest, land), g, bottom, coeff, out)
-        return
-    _emit(out, DotDiagram(d, g, _tup(top, d), _tup(bottom, d)), coeff)
+        _regularize(d, _bump(rest, land), g, bottom, 1, out, memo)
+        return out
+    return {DotDiagram(d, g, _tup(top, d), _tup(bottom, d)): 1}
 
 
-def _append_letter(d, top, g, bottom, tok, coeff, out):
+def _append_letter(d, top, g, bottom, tok, coeff, out, memo):
     """Accumulate coeff * y^top . g . y^bottom . tok for an S or E token.
 
     Bottom dots at the token's two positions are in the way; a crossing lets
@@ -325,7 +342,7 @@ def _append_letter(d, top, g, bottom, tok, coeff, out):
     blockers = [t for t in (a + 1, a) if bottom.get(t)]
     if not blockers:
         for g2, c2 in _compose(_cw(g) + (tok,), d).terms.items():
-            _regularize(d, top, g2, bottom, coeff * c2, out)
+            _regularize(d, top, g2, bottom, coeff * c2, out, memo)
         return
     t = blockers[0]
     rest = _bump(bottom, t, -1)
@@ -334,40 +351,44 @@ def _append_letter(d, top, g, bottom, tok, coeff, out):
         t2 = a + 1 if t == a else a
         unit = Fraction(-1 if t == a else 1)
         tmp = {}
-        _append_letter(d, top, g, rest, tok, Fraction(1), tmp)
+        _append_letter(d, top, g, rest, tok, Fraction(1), tmp, memo)
         for dd, c in tmp.items():
             _regularize(d, _dots(dd.top_dots), dd.diagram,
-                        _bump(_dots(dd.bottom_dots), t2), coeff * c, out)
-        _append_letter(d, top, g, rest, E(a), -coeff, out)
-        _regularize(d, top, g, rest, unit * coeff, out)
+                        _bump(_dots(dd.bottom_dots), t2), coeff * c, out, memo)
+        _append_letter(d, top, g, rest, E(a), -coeff, out, memo)
+        _regularize(d, top, g, rest, unit * coeff, out, memo)
         return
     # new cup: walk the blocking dot out of the zone first
     word = _cw(g)
     (side, land), corr = _journey(word, d, len(word), t, True)
     for sgn, w2 in corr:
         for g2, c2 in _compose(w2, d).terms.items():
-            _append_letter(d, top, g2, rest, tok, coeff * sgn * c2, out)
+            _append_letter(d, top, g2, rest, tok, coeff * sgn * c2, out, memo)
     if side == "top":
-        _append_letter(d, _bump(top, land), g, rest, tok, coeff, out)
+        _append_letter(d, _bump(top, land), g, rest, tok, coeff, out, memo)
     else:
         assert land not in (a, a + 1), "walked dot must leave the cup zone"
-        _append_letter(d, top, g, _bump(rest, land), tok, coeff, out)
+        _append_letter(d, top, g, _bump(rest, land), tok, coeff, out, memo)
 
 
-def _append_token(d, dd, tok, coeff, out):
+def _append_token(d, dd, tok, coeff, out, memo):
     top = _dots(dd.top_dots)
     bottom = _dots(dd.bottom_dots)
     if tok.kind == "Y":
-        _regularize(d, top, dd.diagram, _bump(bottom, tok.index), coeff, out)
+        _regularize(d, top, dd.diagram, _bump(bottom, tok.index), coeff, out,
+                    memo)
     else:
-        _append_letter(d, top, dd.diagram, bottom, tok, coeff, out)
+        _append_letter(d, top, dd.diagram, bottom, tok, coeff, out, memo)
 
 
-def _append_word(d, terms, word):
+def _append_word(d, terms, word, memo):
+    """Append the tokens of word to the normal-form terms one at a time;
+    `memo` holds _regularize's walks and lives for one normalize or
+    multiply call."""
     for tok in word:
         nxt = {}
         for dd, c in terms.items():
-            _append_token(d, dd, tok, c, nxt)
+            _append_token(d, dd, tok, c, nxt, memo)
         terms = nxt
         if not terms:
             break
@@ -376,7 +397,7 @@ def _append_word(d, terms, word):
 
 @lru_cache(maxsize=None)
 def _normalize_cached(word, d):
-    terms = _append_word(d, {DotDiagram.bare(d): Fraction(1)}, word)
+    terms = _append_word(d, {DotDiagram.bare(d): Fraction(1)}, word, {})
     return PdElement(d, terms)
 
 
@@ -393,10 +414,11 @@ def multiply(x, y):
         raise ValueError("mixed strand counts")
     d = x.d
     acc = {}
+    memo = {}
     for v, cv in y.terms.items():
         wv = word_expansion(v)
         for u, cu in x.terms.items():
-            for dd, c in _append_word(d, {u: cu * cv}, wv).items():
+            for dd, c in _append_word(d, {u: cu * cv}, wv, memo).items():
                 _emit(acc, dd, c)
     return PdElement(d, acc)
 

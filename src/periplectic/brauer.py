@@ -4,9 +4,11 @@ A diagram on d strands is a perfect matching on the 2d vertices
 {1..d} (top row) and {-1..-d} (bottom row, printed 1bar..dbar).  The algebra
 basis element attached to a diagram g is, by definition, the image under the
 m = 0 representation of a fixed canonical generator word for g; all signs
-are induced by that normalization and every product is computed through the
-faithful representation at n = d (solving back in the diagram basis), so the
-matrices are the single source of truth.
+are induced by that normalization, and the matrices are the single source of
+truth.  A product is evaluated through the faithful representation at n = d
+and read back in the diagram basis at one coordinate per diagram, its
+witness: there the diagram's own image is +-1 and every other diagram's
+image is 0.
 
 Words multiply by stacking: in a product x*y the x-word sits on top.  Under
 the right-action convention the matrix of x*y is Mat(y) . Mat(x).
@@ -16,14 +18,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import tensoraction
-from .exactla import Combination, Echelon, NotInSpan, mat_mul
-from .tensoraction import E, EndoOperator, S, TensorSpaceSpec, evaluate_word
+from .exactla import Combination
+# unused here; perfbench/tracer.py wraps brauer.mat_mul by name
+from .exactla import mat_mul  # noqa: F401
+from .tensoraction import E, S, TensorSpaceSpec, evaluate_word
 
 
-# Products are solved over the (2d)^(2d) coordinates of the n = d
-# representation. The solver takes about 15 s to build at d = 4 and does not
-# finish in minutes at d = 5 (2-core host, Python 3.11), so larger products
-# fail at once instead of hanging.
+# A product is evaluated on the whole n = d space, of dimension (2d)^d.  At
+# d = 5 one two-letter word (e1*s2) took 2.7 s and 202 MB peak (2-core host,
+# Python 3.11), and the word-image cache keeps up to 512 such tables, so
+# larger products fail at once instead of exhausting memory.
 MAX_PRODUCT_D = 4
 
 
@@ -35,7 +39,7 @@ def _check_product_size(d):
     if d > MAX_PRODUCT_D:
         raise TooManyStrands(
             f"diagram products are limited to d <= {MAX_PRODUCT_D} strands "
-            f"(got d={d}): they are solved over (2d)^(2d) coordinates")
+            f"(got d={d}): each is evaluated on a space of dimension (2d)^d")
 
 
 def _vkey(v):
@@ -268,32 +272,43 @@ def canonical_word(g):
 # representation oracle
 # ---------------------------------------------------------------------------
 
-def _flatten(op):
-    """The operator's entries as one row: entry (r, c) at r * dim + c."""
-    dim = op.spec.dim
-    return {r * dim + c: v for c, col in op.columns.items()
-            for r, v in col.items()}
+@lru_cache(maxsize=MAX_PRODUCT_D)
+def _witnesses(d):
+    """(g, input, output, value) for every diagram g on d strands.
+
+    At n = d each of g's d edges gets its own value k: a through edge puts
+    digit k on both ends, a cup or cap puts k on one end and bar(k) = k + n
+    on the other; top vertices are input (column) digits and bottom vertices
+    output (row) digits.  At that (input, output) coordinate g's image is
+    `value`, +-1, and every other diagram's image is 0: an edge of another
+    diagram joins two ends of one value class, and those pairs are exactly
+    g's edges.
+    """
+    n = d
+    spec = TensorSpaceSpec(n, 0, d)
+    out = []
+    for g in enumerate_diagrams(d):
+        inp, outp = [0] * d, [0] * d
+        for k, (a, b) in enumerate(g.matching):
+            through = (a > 0) != (b > 0)
+            for v, digit in ((a, k), (b, k if through else k + n)):
+                (inp if v > 0 else outp)[abs(v) - 1] = digit
+        i, o = spec.rank(inp), spec.rank(outp)
+        value = tensoraction.apply_word_to_vector(
+            canonical_word(g).word, spec, {i: 1})[o]
+        out.append((g, i, o, value))
+    return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _span_solver(d):
-    """All diagrams on d strands, and an exact echelon over their flattened
-    images at n = d in which each image is tagged with its diagram's index."""
-    diagrams = enumerate_diagrams(d)
-    echelon = Echelon(TensorSpaceSpec(d, 0, d).dim ** 2)
-    for idx, g in enumerate(diagrams):
-        image = psi_image(ADElement.from_diagram(g), d)
-        if not echelon.add(_flatten(image), idx):
-            raise AssertionError(
-                f"psi images dependent at d={d}, n={d}: diagram {g}")
-    return diagrams, echelon
-
-
-def _solve_diagrams(d, op):
-    """The ADElement whose image at n = d is the operator `op`."""
-    diagrams, echelon = _span_solver(d)
-    combo = echelon.solve(_flatten(op))
-    return ADElement(d, {diagrams[i]: c for i, c in combo.items()})
+def _read_diagrams(d, column):
+    """The ADElement whose image at n = d has the columns `column(input)`,
+    for an operator in the span of the diagram images."""
+    terms = {}
+    for g, i, o, value in _witnesses(d):
+        v = (column(i) or {}).get(o)
+        if v:
+            terms[g] = Fraction(v) / value
+    return ADElement(d, terms)
 
 
 def psi_image(x, n):
@@ -306,31 +321,23 @@ def psi_image(x, n):
 def diagram_of_word(word, d):
     """Resolve a dotless S/E word into the diagram algebra (exactly)."""
     _check_product_size(d)
-    n = d
-    spec = TensorSpaceSpec(n, 0, d)
-    op = evaluate_word(word, spec)
-    if op.is_zero():
-        return ADElement.zero(d)
-    return _solve_diagrams(d, op)
+    cols = evaluate_word(word, TensorSpaceSpec(d, 0, d)).columns
+    return _read_diagrams(d, cols.get)
 
 
 def multiply(x, y):
     """Product x*y via the faithful representation at n = d.
 
-    Right-action convention: the matrix of x*y is Mat(y) . Mat(x).
+    Right-action convention: the matrix of x*y is Mat(y) . Mat(x), so its
+    column c is Mat(y) applied to column c of Mat(x).
     """
     if x.d != y.d:
         raise ValueError("mixed strand counts")
-    d = n = x.d
+    d = x.d
     _check_product_size(d)
-    mx = psi_image(x, n).matrix
-    my = psi_image(y, n).matrix
-    product = EndoOperator(TensorSpaceSpec(n, 0, d), mat_mul(my, mx))
-    try:
-        return _solve_diagrams(d, product)
-    except NotInSpan as exc:   # pragma: no cover - internal consistency
-        raise AssertionError(
-            f"product left the diagram span at d={d}, n={n}") from exc
+    mx = psi_image(x, d)
+    my = psi_image(y, d)
+    return _read_diagrams(d, lambda c: my.apply_dict(mx.columns.get(c, {})))
 
 
 def jm_element(j, d):

@@ -4,9 +4,8 @@ Every value is an exact int or `fractions.Fraction`; there is no floating
 point and no modular shortcut anywhere in this package.  Tensor-space
 operators (`tensoraction.EndoOperator`) keep their entries as int or
 Fraction columns and hand out a `SparseMatrix` view for the (row, col)
-callers: `mat_mul`, equivariance and the benchmark.  A `SparseMatrix` stores
-only nonzero entries, keyed by (row, col) pairs; its constructor makes them
-Fractions.
+callers, such as the benchmark.  A `SparseMatrix` stores only nonzero
+entries, keyed by (row, col) pairs; its constructor makes them Fractions.
 
 `Echelon` is the one row echelon: `rank` counts the rows it keeps and
 `solve_in_span` reads a combination of dict vectors back from it, both

@@ -28,7 +28,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import kernels
-from .exactla import Echelon, SparseMatrix, mat_mul
+from .exactla import Echelon, SparseMatrix
+# unused here; perfbench/tracer.py wraps tensoraction.mat_mul by name
+from .exactla import mat_mul  # noqa: F401
 from .superalgebra import pn_basis_with_duals
 
 
@@ -163,8 +165,16 @@ class EndoOperator:
         return out
 
     def compose(self, other):
-        """self after other (usual operator composition)."""
-        return EndoOperator(self.spec, mat_mul(self.matrix, other.matrix))
+        """self after other (usual operator composition): column c is self
+        applied to column c of other."""
+        if self.spec.dim != other.spec.dim:
+            raise ValueError("shape mismatch")
+        cols = {}
+        for j, col in other.columns.items():
+            image = self.apply_dict(col)
+            if image:
+                cols[j] = image
+        return EndoOperator._wrap(self.spec, cols)
 
     def add(self, other, scale=1):
         if self.spec.dim != other.spec.dim:
@@ -482,7 +492,7 @@ def check_equivariance(op, spec=None):
     spec = spec or op.spec
     for pair in pn_basis_with_duals(spec.n):
         rho = g_action(pair.basis_element, spec)
-        if mat_mul(op.matrix, rho.matrix) != mat_mul(rho.matrix, op.matrix):
+        if op.compose(rho) != rho.compose(op):
             return False
     return True
 

@@ -159,6 +159,20 @@ def test_multiply_by_identity():
         assert multiply(PdElement.one(2), x) == x
 
 
+D3_LETTERS = (S(1), S(2), E(1), E(2), Y(1), Y(2), Y(3))
+short_d3_words = st.lists(st.sampled_from(D3_LETTERS), max_size=3)
+
+
+@given(short_d3_words, short_d3_words, short_d3_words)
+@settings(max_examples=25, deadline=None)
+def test_multiply_is_associative(u, v, w):
+    spec = TensorSpaceSpec(2, 0, 3)
+    x, y, z = (normalize(word, 3) for word in (u, v, w))
+    left = multiply(multiply(x, y), z)
+    assert left == multiply(x, multiply(y, z))
+    assert tensor_image(left, spec) == evaluate_word(u + v + w, spec)
+
+
 def test_dot_monomials_commute():
     a = mono(2, ID2, (2, 0), (0, 0))
     b = mono(2, ID2, (0, 1), (0, 0))

@@ -1,13 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from periplectic.brauer import (ADElement, BrauerDiagram, canonical_word,
-                                diagram_of_word, enumerate_diagrams,
-                                jm_element, marked_pair, matching_of_operator,
-                                multiply, psi_image)
-from periplectic.exactla import rank, solve_in_span
+from periplectic.brauer import (ADElement, BrauerDiagram, _read_diagrams,
+                                _witnesses, canonical_word, diagram_of_word,
+                                enumerate_diagrams, jm_element, marked_pair,
+                                matching_of_operator, multiply, psi_image)
+from periplectic.exactla import Echelon, mat_mul, rank, solve_in_span
 from periplectic.tensoraction import (E, EndoOperator, S, TensorSpaceSpec,
                                       evaluate_word)
 
@@ -76,11 +78,10 @@ def test_three_cycle_word_is_two_crossings():
 
 
 def test_every_word_reproduces_its_diagram():
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 4):
         for g in enumerate_diagrams(d):
             x = diagram_of_word(list(canonical_word(g).word), d)
-            assert list(x.terms) == [g]
-            assert abs(list(x.terms.values())[0]) == 1
+            assert x == ADElement.from_diagram(g)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -90,6 +91,88 @@ def test_matching_of_operator_reads_back_every_diagram(d):
         for g in enumerate_diagrams(d):
             op = evaluate_word(canonical_word(g).word, spec)
             assert matching_of_operator(op, d) == g
+
+
+# witnesses -----------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_each_witness_sees_its_own_diagram_only(d):
+    spec = TensorSpaceSpec(d, 0, d)
+    witnesses = _witnesses(d)
+    assert [w[0] for w in witnesses] == list(enumerate_diagrams(d))
+    for h in enumerate_diagrams(d):
+        cols = evaluate_word(canonical_word(h).word, spec).columns
+        for g, i, o, value in witnesses:
+            seen = cols.get(i, {}).get(o, 0)
+            if g == h:
+                assert value in (1, -1) and seen == value
+            else:
+                assert seen == 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_read_diagrams_agrees_with_the_matching_pattern(d):
+    spec = TensorSpaceSpec(d, 0, d)
+    for g in enumerate_diagrams(d):
+        op = evaluate_word(canonical_word(g).word, spec)
+        assert (_read_diagrams(d, op.columns.get)
+                == ADElement.from_diagram(matching_of_operator(op, d)))
+
+
+# the exact solve over all (2d)^(2d) coordinates, kept as the oracle of the
+# witness reads
+
+def _flatten(entries, dim):
+    return {r * dim + c: v for (r, c), v in entries.items()}
+
+
+@lru_cache(maxsize=None)
+def _span_solver(d):
+    """All diagrams on d strands, and an exact echelon over their flattened
+    images at n = d in which each image is tagged with its diagram's index."""
+    diagrams = enumerate_diagrams(d)
+    dim = TensorSpaceSpec(d, 0, d).dim
+    echelon = Echelon(dim ** 2)
+    for idx, g in enumerate(diagrams):
+        image = psi_image(ADElement.from_diagram(g), d)
+        assert echelon.add(_flatten(image.matrix.entries, dim), idx)
+    return diagrams, echelon
+
+
+def _solve_diagrams(d, matrix):
+    """The ADElement whose image at n = d has this SparseMatrix."""
+    diagrams, echelon = _span_solver(d)
+    combo = echelon.solve(_flatten(matrix.entries, matrix.nrows))
+    return ADElement(d, {diagrams[i]: c for i, c in combo.items()})
+
+
+WORD_SETS = {2: 4, 3: 4, 4: 3}   # d -> longest S/E word
+
+
+@pytest.mark.parametrize("d", sorted(WORD_SETS))
+def test_words_match_the_span_solve(d):
+    letters = [S(a) for a in range(1, d)] + [E(a) for a in range(1, d)]
+    spec = TensorSpaceSpec(d, 0, d)
+    mismatches = 0
+    for k in range(WORD_SETS[d] + 1):
+        for word in itertools.product(letters, repeat=k):
+            want = _solve_diagrams(d, evaluate_word(word, spec).matrix)
+            mismatches += diagram_of_word(list(word), d) != want
+    assert mismatches == 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_products_match_the_span_solve(d):
+    rng = random.Random(40 + d)
+    diagrams = enumerate_diagrams(d)
+    mismatches = 0
+    for _ in range(20):
+        x, y = (ADElement(d, {g: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                              for g in rng.sample(diagrams, rng.randint(1, 3))})
+                for _ in range(2))
+        product = mat_mul(psi_image(y, d).matrix, psi_image(x, d).matrix)
+        mismatches += multiply(x, y) != _solve_diagrams(d, product)
+    assert mismatches == 0
 
 
 # multiplication ------------------------------------------------------------

@@ -182,6 +182,14 @@ def test_normalize_refuses_diagram_products_beyond_the_limit(runner):
     assert "d <= 4" in res.output
 
 
+def test_normalize_many_dots_finishes(runner):
+    start = time.perf_counter()
+    res = invoke(runner, "normalize", "--d", "2", "--json", "s1*y1^24")
+    assert time.perf_counter() - start < 5
+    assert res.exit_code == 0
+    assert len(json.loads(res.output)["terms"]) == 325
+
+
 def test_normalize_dot_words_at_five_strands(runner):
     res = invoke(runner, "normalize", "--d", "5", "--json", "y1*y3*y5")
     assert res.exit_code == 0

@@ -1,0 +1,142 @@
+"""The memoized dot walk against the unmemoized walk it replaced.
+
+`affine._regularize` keeps each walk's output at coefficient 1 for the rest
+of one normalize or multiply call.  The walk below is the earlier version,
+which walks every correction term again, one dot power at a time; it is
+exponential in the number of dots and stays here only as the oracle.
+"""
+
+import random
+from fractions import Fraction
+
+from periplectic.affine import (DotDiagram, PdElement, _bump, _cap_right_ends,
+                                _compose, _cup_right_ends, _cw, _dots, _emit,
+                                _journey, _tup, multiply, normalize,
+                                word_expansion)
+from periplectic.tensoraction import E, S, Y
+
+ALPHABET_D3 = (S(1), S(2), E(1), E(2), Y(1), Y(2), Y(3))
+
+
+def old_regularize(d, top, g, bottom, coeff, out):
+    if not coeff:
+        return
+    cap_r = _cap_right_ends(g)
+    bad_bottom = sorted(t for t, c in bottom.items() if c and t not in cap_r)
+    if bad_bottom:
+        t = bad_bottom[0]
+        rest = _bump(bottom, t, -1)
+        word = _cw(g)
+        (side, land), corr = _journey(word, d, len(word), t, True)
+        for sgn, w2 in corr:
+            for g2, c2 in _compose(w2, d).terms.items():
+                old_regularize(d, top, g2, rest, coeff * sgn * c2, out)
+        if side == "top":
+            old_regularize(d, _bump(top, land), g, rest, coeff, out)
+        else:
+            old_regularize(d, top, g, _bump(rest, land), coeff, out)
+        return
+    cup_r = _cup_right_ends(g)
+    bad_top = sorted(k for k, c in top.items() if c and k in cup_r)
+    if bad_top:
+        k = bad_top[0]
+        rest = _bump(top, k, -1)
+        word = _cw(g)
+        (side, land), corr = _journey(word, d, 0, k, False)
+        for sgn, w2 in corr:
+            for g2, c2 in _compose(w2, d).terms.items():
+                old_regularize(d, rest, g2, bottom, coeff * sgn * c2, out)
+        assert side == "top"
+        old_regularize(d, _bump(rest, land), g, bottom, coeff, out)
+        return
+    _emit(out, DotDiagram(d, g, _tup(top, d), _tup(bottom, d)), coeff)
+
+
+def old_append_letter(d, top, g, bottom, tok, coeff, out):
+    if not coeff:
+        return
+    a = tok.index
+    if tok.kind == "E" and g.partner(-a) == -(a + 1):
+        return
+    blockers = [t for t in (a + 1, a) if bottom.get(t)]
+    if not blockers:
+        for g2, c2 in _compose(_cw(g) + (tok,), d).terms.items():
+            old_regularize(d, top, g2, bottom, coeff * c2, out)
+        return
+    t = blockers[0]
+    rest = _bump(bottom, t, -1)
+    if tok.kind == "S":
+        t2 = a + 1 if t == a else a
+        unit = Fraction(-1 if t == a else 1)
+        tmp = {}
+        old_append_letter(d, top, g, rest, tok, Fraction(1), tmp)
+        for dd, c in tmp.items():
+            old_regularize(d, _dots(dd.top_dots), dd.diagram,
+                           _bump(_dots(dd.bottom_dots), t2), coeff * c, out)
+        old_append_letter(d, top, g, rest, E(a), -coeff, out)
+        old_regularize(d, top, g, rest, unit * coeff, out)
+        return
+    word = _cw(g)
+    (side, land), corr = _journey(word, d, len(word), t, True)
+    for sgn, w2 in corr:
+        for g2, c2 in _compose(w2, d).terms.items():
+            old_append_letter(d, top, g2, rest, tok, coeff * sgn * c2, out)
+    if side == "top":
+        old_append_letter(d, _bump(top, land), g, rest, tok, coeff, out)
+    else:
+        old_append_letter(d, top, g, _bump(rest, land), tok, coeff, out)
+
+
+def old_append_word(d, terms, word):
+    for tok in word:
+        nxt = {}
+        for dd, c in terms.items():
+            top = _dots(dd.top_dots)
+            bottom = _dots(dd.bottom_dots)
+            if tok.kind == "Y":
+                old_regularize(d, top, dd.diagram, _bump(bottom, tok.index),
+                               c, nxt)
+            else:
+                old_append_letter(d, top, dd.diagram, bottom, tok, c, nxt)
+        terms = nxt
+        if not terms:
+            break
+    return terms
+
+
+def old_normalize(word, d):
+    return PdElement(d, old_append_word(d, {DotDiagram.bare(d): Fraction(1)},
+                                        tuple(word)))
+
+
+def old_multiply(x, y):
+    acc = {}
+    for v, cv in y.terms.items():
+        for u, cu in x.terms.items():
+            for dd, c in old_append_word(x.d, {u: cu * cv},
+                                         word_expansion(v)).items():
+                _emit(acc, dd, c)
+    return PdElement(x.d, acc)
+
+
+def test_dot_powers_match_the_old_walk():
+    for k in range(17):
+        word = [S(1)] + [Y(1)] * k
+        assert normalize(word, 2) == old_normalize(word, 2), k
+
+
+def random_word(rng, longest):
+    return [rng.choice(ALPHABET_D3) for _ in range(rng.randint(0, longest))]
+
+
+def test_random_d3_words_match_the_old_walk():
+    rng = random.Random(2024)
+    mismatches = 0
+    for _ in range(300):
+        word = random_word(rng, 9)
+        mismatches += normalize(word, 3) != old_normalize(word, 3)
+    for _ in range(30):
+        x = normalize(random_word(rng, 4), 3)
+        y = normalize(random_word(rng, 4), 3)
+        mismatches += multiply(x, y) != old_multiply(x, y)
+    assert mismatches == 0

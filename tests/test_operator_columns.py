@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from periplectic.exactla import SparseMatrix
+from periplectic.exactla import SparseMatrix, mat_mul
 from periplectic.tensoraction import (E, EndoOperator, S, TensorSpaceSpec, Y,
                                       _evaluate_raw, apply_word_to_vector,
                                       evaluate_word, evaluate_word_sum)
@@ -27,13 +27,15 @@ def letters(d):
             + [Y(j) for j in range(1, d + 1)])
 
 
+def weighted(spec):
+    word = st.lists(st.sampled_from(letters(spec.d)), max_size=4).map(tuple)
+    return st.lists(st.tuples(word, rationals), min_size=1, max_size=3)
+
+
 @st.composite
 def weighted_words(draw):
     spec = draw(st.sampled_from(SPACES))
-    word = st.lists(st.sampled_from(letters(spec.d)), max_size=4).map(tuple)
-    pairs = draw(st.lists(st.tuples(word, rationals), min_size=1,
-                          max_size=3))
-    return spec, pairs
+    return spec, draw(weighted(spec))
 
 
 def oracle_entries(word, spec):
@@ -73,6 +75,18 @@ def test_word_images_and_sums_match_the_fraction_oracle(case):
     assert got_sum.is_zero() == (not want_sum.matrix.entries)
     assert all(got_sum.columns.values())
     assert all(v for col in got_sum.columns.values() for v in col.values())
+
+
+@given(weighted_words(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_compose_matches_the_matrix_product(case, data):
+    spec, pairs = case
+    a = evaluate_word_sum(pairs, spec)
+    b = evaluate_word_sum(data.draw(weighted(spec)), spec)
+    want = EndoOperator(spec, mat_mul(a.matrix, b.matrix))
+    got = a.compose(b)
+    assert got == want and hash(got) == hash(want)
+    assert all(got.columns.values())
 
 
 @given(weighted_words())
