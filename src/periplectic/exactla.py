@@ -7,7 +7,11 @@ Fraction columns and hand out a `SparseMatrix` view for the (row, col)
 callers, such as the benchmark.  A `SparseMatrix` stores only nonzero
 entries, keyed by (row, col) pairs; its constructor makes them Fractions.
 
-`Echelon` is the one row echelon: `rank` counts the rows it keeps and
+`Echelon` is the one row echelon.  It keeps primitive integer rows with a
+positive pivot and eliminates fraction-free (Bareiss-style: scale the row,
+subtract a multiple of the pivot row, never divide), so `Fraction` enters
+it only where a rational row is scaled to integers and where `solve`
+returns its coefficients.  `rank` counts the rows it keeps and
 `solve_in_span` reads a combination of dict vectors back from it, both
 through the single reduction loop `kernels.reduce_against`.  `Combination`
 is the one element type behind the diagram, affine and polynomial-quotient
@@ -15,6 +19,7 @@ algebras.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import kernels
 
@@ -148,49 +153,72 @@ class SparseMatrix:
                 f"{len(self.entries)} nonzero)")
 
 
-class Echelon:
-    """Exact row echelon over Q: each row in `pivots` has its least index as
-    pivot, with coefficient 1.
+def _integral(row):
+    """A dict row times the lcm of its denominators: nonzero ints only."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {k: v.numerator * (den // v.denominator)
+            for k, v in row.items() if v}
 
-    Rows have real coordinates below `width`.  A row added with tag i also
-    carries the coordinate width + i, so each pivot row records its
-    combination of the tagged input rows; tags sit past every real
-    coordinate and therefore never become pivots.
+
+class Echelon:
+    """Exact row echelon over Q kept in integers: each row in `pivots` is a
+    primitive integer row whose least index is its pivot, with a positive
+    coefficient there.
+
+    A row is scaled to integers before it is reduced, which keeps the rank,
+    and `kernels.reduce_against` eliminates without division.  Rows have
+    real coordinates below `width`.  A row added with tag i also carries
+    the coordinate width + i at 1 before that scaling, so each pivot row
+    records its combination of the tagged input rows; tags sit past every
+    real coordinate and therefore never become pivots.
     """
 
-    __slots__ = ("width", "pivots")
+    __slots__ = ("width", "pivots", "_end")
 
     def __init__(self, width=0):
         self.width = width
         self.pivots = {}
+        self._end = 0       # one past every coordinate a pivot row holds
 
-    def _reduce(self, row):
-        """The residual of a dict row and the least real index left in it
-        (None when the row lies in the span)."""
-        residual = kernels.reduce_against(self.pivots, row)
+    def _lead(self, residual):
+        """The least real index left in a residual (None when only tags,
+        or nothing, are left)."""
         j = min(residual, default=None)
-        if j is not None and 0 < self.width <= j:   # only tags are left
+        if j is not None and 0 < self.width <= j:
             j = None
-        return residual, j
+        return j
 
     def add(self, row, tag=None):
         """Add a dict row; returns whether it was independent of the rest."""
         if tag is not None:
             row = dict(row)
-            row[self.width + tag] = Fraction(1)
-        residual, j = self._reduce(row)
+            row[self.width + tag] = 1
+        residual = kernels.reduce_against(self.pivots, _integral(row))
+        j = self._lead(residual)
         if j is None:
             return False
-        inv = Fraction(1) / residual[j]
-        self.pivots[j] = {k: inv * v for k, v in residual.items()}
+        g = gcd(*residual.values())
+        if residual[j] < 0:
+            g = -g
+        self.pivots[j] = {k: v // g for k, v in residual.items()}
+        self._end = max(self._end, max(residual) + 1)
         return True
 
     def solve(self, row):
-        """Coefficients {tag: c} of the tagged rows that sum to `row`."""
-        residual, j = self._reduce(row)
+        """Coefficients {tag: c} of the tagged rows that sum to `row`.
+
+        The row's overall scale s is tracked at a coordinate past every
+        pivot row's, so the tags left in the residual read -s * c.
+        """
+        scale = max(self._end, max(row, default=-1) + 1)
+        row = dict(row)
+        row[scale] = 1
+        residual = kernels.reduce_against(self.pivots, _integral(row))
+        s = residual.pop(scale)
+        j = self._lead(residual)
         if j is not None:
             raise NotInSpan(f"coordinate {j} unreachable")
-        return {k - self.width: -v for k, v in residual.items()}
+        return {k - self.width: Fraction(-v, s) for k, v in residual.items()}
 
 
 def mat_mul(a, b):

@@ -4,6 +4,8 @@ Everything here works on plain dicts/lists of Python ints or Fractions so
 results are exact by construction.
 """
 
+from math import gcd
+
 # reported with every benchmark result (perfbench/worker.py)
 IMPLEMENTATION = "python"
 
@@ -115,10 +117,15 @@ def bareiss_rank(rows, ncols):
 
 
 def reduce_against(pivots, row):
-    """Reduce a dict vector against an echelon set.
+    """Reduce a dict vector against an echelon set, without division.
 
-    ``pivots`` maps pivot index -> row dict whose pivot coefficient is 1.
-    Returns the (new dict) residual, empty if ``row`` lies in the span.
+    ``pivots`` maps pivot index -> integer row dict whose least key is that
+    index, with a positive coefficient p there.  A coordinate j with
+    coefficient c is cleared as residual = (p/g) residual - (c/g) pivot,
+    g = gcd(p, c); a unit pivot skips the gcd, so rational rows reduce
+    against unit pivots as before.  Returns the (new dict) residual, a
+    nonzero integer multiple of ``row`` minus a combination of pivot rows;
+    it is empty if ``row`` lies in the span.
     """
     residual = dict(row)
     while residual:
@@ -126,7 +133,15 @@ def reduce_against(pivots, row):
         piv = pivots.get(j)
         if piv is None:
             return residual
-        c = -residual[j]
+        c = residual[j]
+        p = piv[j]
+        if p != 1:
+            g = gcd(p, c)
+            p //= g
+            c //= g
+            if p != 1:
+                residual = {k: p * v for k, v in residual.items()}
+        c = -c
         for k, v in piv.items():
             w = residual.get(k)
             if w is None:

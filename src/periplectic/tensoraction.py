@@ -465,7 +465,7 @@ def g_action(x, spec, slots=None):
     par = x.declared_parity
     x_cols = {}
     for (i, j), v in x.data.entries.items():
-        x_cols.setdefault(j, []).append((i, v))
+        x_cols.setdefault(j, []).append((i, _scalar(v)))
     cols = {}
     for t in range(spec.dim):
         dg = spec.digits(t)
@@ -516,6 +516,14 @@ def commutant_dimension(spec):
     on pairs of equal weight, which cuts the unknowns down before solving the
     remaining exact linear system.
     """
+    unknowns, rows = _commutant_equations(spec)
+    echelon = Echelon()
+    return unknowns - sum(echelon.add(row) for row in rows)
+
+
+def _commutant_equations(spec):
+    """(number of unknowns, integer equation rows) of the commutant: one
+    row per entry of T rho - rho T, for every p(n) basis element rho."""
     spec.validate()
     if spec.m != 0:
         raise ValueError("commutant_dimension is defined for m = 0")
@@ -536,16 +544,13 @@ def commutant_dimension(spec):
             for a, v in col.items():
                 # T[t,a] * rho[a,b] lands in equation (t, b)
                 for t in blocks.get(wt[a], ()):
-                    key = (t, b)
-                    eqs.setdefault(key, {})[unk[(t, a)]] = \
-                        eqs.get(key, {}).get(unk[(t, a)], Fraction(0)) + v
+                    eq = eqs.setdefault((t, b), {})
+                    x = unk[(t, a)]
+                    eq[x] = eq.get(x, 0) + v
                 # -rho[a,b] * T[b,u] lands in equation (a, u)
                 for u in blocks.get(wt[b], ()):
-                    key = (a, u)
-                    eqs.setdefault(key, {})[unk[(b, u)]] = \
-                        eqs.get(key, {}).get(unk[(b, u)], Fraction(0)) - v
-        rows.extend(r for r in eqs.values())
-    echelon = Echelon()
-    rank = sum(echelon.add({k: v for k, v in row.items() if v})
-               for row in rows)
-    return len(unk) - rank
+                    eq = eqs.setdefault((a, u), {})
+                    x = unk[(b, u)]
+                    eq[x] = eq.get(x, 0) - v
+        rows.extend(eqs.values())
+    return len(unk), rows

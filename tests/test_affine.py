@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periplectic.affine import (DotDiagram, PdElement, enumerate_regular,
+from periplectic.affine import (DotDiagram, PdElement, _cap_right_ends,
+                                _cup_right_ends, enumerate_regular,
                                 is_regular, multiply, normalize,
                                 pbw_rank_check, pi_m, pi_m_word, tensor_image,
                                 to_daha, word_expansion)
-from periplectic.brauer import (ADElement, BrauerDiagram, jm_element,
-                                marked_pair, multiply as ad_multiply)
+from periplectic.brauer import (ADElement, BrauerDiagram, enumerate_diagrams,
+                                jm_element, marked_pair,
+                                multiply as ad_multiply)
 from periplectic.tensoraction import E, S, TensorSpaceSpec, Y, evaluate_word
 
 CROSS2 = BrauerDiagram.s_generator(2, 1)
@@ -147,6 +149,25 @@ def test_idempotent_on_d3_sample():
     sample = rng.sample(enumerate_regular(3, 2), 12)
     for u in sample:
         assert normalize(word_expansion(u), 3) == PdElement.from_monomial(u)
+
+
+@st.composite
+def regular_monomials(draw, d):
+    """A regular dotted diagram: no top dot on a cup's right end, bottom
+    dots only on a cap's right end."""
+    g = draw(st.sampled_from(enumerate_diagrams(d)))
+    cups, caps = _cup_right_ends(g), _cap_right_ends(g)
+    dots = st.integers(0, 2)
+    top = tuple(0 if k in cups else draw(dots) for k in range(1, d + 1))
+    bottom = tuple(draw(dots) if k in caps else 0 for k in range(1, d + 1))
+    return DotDiagram(d, g, top, bottom)
+
+
+@given(st.sampled_from((2, 3)).flatmap(regular_monomials))
+@settings(max_examples=60, deadline=None)
+def test_idempotent_on_random_regular_monomials(u):
+    assert is_regular(u)
+    assert normalize(word_expansion(u), u.d) == PdElement.from_monomial(u)
 
 
 # multiplication -------------------------------------------------------------

@@ -167,6 +167,21 @@ def test_pbw_rejects_oversized(runner):
     assert res.exit_code != 0
 
 
+def test_pbw_refuses_a_block_beyond_the_bound(runner):
+    # the last block at (d, max-degree, n) = (3, 2, 6) has dimension 12^6
+    start = time.perf_counter()
+    res = invoke(runner, "pbw", "--d", "3", "--max-degree", "2", "--n", "6")
+    assert time.perf_counter() - start < 5
+    assert res.exit_code != 0
+    assert "2985984" in res.output and "248832" in res.output
+
+
+def test_pbw_reports_an_inconclusive_window(runner):
+    res = invoke(runner, "pbw", "--d", "2", "--max-degree", "1", "--n", "3")
+    assert res.exit_code == 1
+    assert "need n >= d + max_degree + 1" in res.output
+
+
 def test_normalize_pretty_output_roundtrips(runner):
     from periplectic.documents import from_document, loads
     res = invoke(runner, "normalize", "--d", "2", "s1*y1")

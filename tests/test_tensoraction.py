@@ -224,6 +224,8 @@ def test_g_action_E11_doubles_e1_tensor_e1():
     assert out == {spec.rank([0, 0]): Fraction(2)}
 
 
-@pytest.mark.parametrize("n,d,want", [(3, 1, 1), (3, 2, 3), (1, 1, 1)])
+# at n >= d the commutant is spanned by the (2d - 1)!! Brauer diagrams
+@pytest.mark.parametrize("n,d,want", [(3, 1, 1), (3, 2, 3), (1, 1, 1),
+                                      (3, 3, 15)])
 def test_commutant_dimension(n, d, want):
     assert commutant_dimension(TensorSpaceSpec(n, 0, d)) == want
