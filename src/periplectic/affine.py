@@ -168,7 +168,7 @@ def word_expansion(u):
     word = []
     for k, c in enumerate(u.top_dots, start=1):
         word.extend([Y(k)] * c)
-    word.extend(_cw(u.diagram))
+    word.extend(canonical_word(u.diagram))
     for t, c in enumerate(u.bottom_dots, start=1):
         word.extend([Y(t)] * c)
     return word
@@ -177,11 +177,6 @@ def word_expansion(u):
 # ---------------------------------------------------------------------------
 # the rewriting engine
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _cw(g):
-    return tuple(canonical_word(g).word)
-
 
 @lru_cache(maxsize=None)
 def _compose(word, d):
@@ -244,19 +239,8 @@ def _journey(word, d, pos, idx, moving_up):
 
 
 def _bump(dots, t, delta=1):
-    nxt = dict(dots)
-    nxt[t] = nxt.get(t, 0) + delta
-    if not nxt[t]:
-        del nxt[t]
-    return nxt
-
-
-def _tup(dots, d):
-    return tuple(dots.get(k, 0) for k in range(1, d + 1))
-
-
-def _dots(vec):
-    return {k: c for k, c in enumerate(vec, start=1) if c}
+    """The dot vector with delta more dots at 1-based position t."""
+    return dots[:t - 1] + (dots[t - 1] + delta,) + dots[t:]
 
 
 def _emit(out, key, coeff):
@@ -276,8 +260,7 @@ def _regularize(d, top, g, bottom, coeff, out, memo):
     """
     if not coeff:
         return
-    # a zero count in top or bottom would only split one key in two
-    key = (g, frozenset(top.items()), frozenset(bottom.items()))
+    key = (g, top, bottom)
     unit = memo.get(key)
     if unit is None:
         unit = memo[key] = _walk(d, top, g, bottom, memo)
@@ -287,17 +270,17 @@ def _regularize(d, top, g, bottom, coeff, out, memo):
 def _walk(d, top, g, bottom, memo):
     """y^top . g . y^bottom as regular monomials, {monomial: coefficient}.
 
-    top/bottom map 1-based positions to dot counts and may contain illegal
-    placements; each illegal power is walked along its strand, one power at
-    a time, until every dot rests at a legal endpoint.
+    top/bottom are dot vectors, d-tuples of counts by position, and may hold
+    illegal placements; each illegal power is walked along its strand, one
+    power at a time, until every dot rests at a legal endpoint.
     """
     out = {}
     cap_r = _cap_right_ends(g)
-    bad_bottom = [t for t, c in bottom.items() if c and t not in cap_r]
+    bad_bottom = [t for t, c in enumerate(bottom, 1) if c and t not in cap_r]
     if bad_bottom:
-        t = min(bad_bottom)
+        t = bad_bottom[0]
         rest = _bump(bottom, t, -1)
-        word = _cw(g)
+        word = canonical_word(g)
         (side, land), corr = _journey(word, d, len(word), t, True)
         for sgn, w2 in corr:
             for g2, c2 in _compose(w2, d).terms.items():
@@ -308,11 +291,11 @@ def _walk(d, top, g, bottom, memo):
             _regularize(d, top, g, _bump(rest, land), 1, out, memo)
         return out
     cup_r = _cup_right_ends(g)
-    bad_top = [k for k, c in top.items() if c and k in cup_r]
+    bad_top = [k for k, c in enumerate(top, 1) if c and k in cup_r]
     if bad_top:
-        k = min(bad_top)
+        k = bad_top[0]
         rest = _bump(top, k, -1)
-        word = _cw(g)
+        word = canonical_word(g)
         (side, land), corr = _journey(word, d, 0, k, False)
         for sgn, w2 in corr:
             for g2, c2 in _compose(w2, d).terms.items():
@@ -320,7 +303,7 @@ def _walk(d, top, g, bottom, memo):
         assert side == "top", "a cup right end must walk back to the top row"
         _regularize(d, _bump(rest, land), g, bottom, 1, out, memo)
         return out
-    return {DotDiagram(d, g, _tup(top, d), _tup(bottom, d)): 1}
+    return {DotDiagram(d, g, top, bottom): 1}
 
 
 def _append_letter(d, top, g, bottom, tok, coeff, out, memo):
@@ -339,9 +322,9 @@ def _append_letter(d, top, g, bottom, tok, coeff, out, memo):
         # the new cup meets this cap in a closed loop; any dots caught
         # between the two bends are killed as well
         return
-    blockers = [t for t in (a + 1, a) if bottom.get(t)]
+    blockers = [t for t in (a + 1, a) if bottom[t - 1]]
     if not blockers:
-        for g2, c2 in _compose(_cw(g) + (tok,), d).terms.items():
+        for g2, c2 in _compose(canonical_word(g) + (tok,), d).terms.items():
             _regularize(d, top, g2, bottom, coeff * c2, out, memo)
         return
     t = blockers[0]
@@ -353,13 +336,13 @@ def _append_letter(d, top, g, bottom, tok, coeff, out, memo):
         tmp = {}
         _append_letter(d, top, g, rest, tok, Fraction(1), tmp, memo)
         for dd, c in tmp.items():
-            _regularize(d, _dots(dd.top_dots), dd.diagram,
-                        _bump(_dots(dd.bottom_dots), t2), coeff * c, out, memo)
+            _regularize(d, dd.top_dots, dd.diagram, _bump(dd.bottom_dots, t2),
+                        coeff * c, out, memo)
         _append_letter(d, top, g, rest, E(a), -coeff, out, memo)
         _regularize(d, top, g, rest, unit * coeff, out, memo)
         return
     # new cup: walk the blocking dot out of the zone first
-    word = _cw(g)
+    word = canonical_word(g)
     (side, land), corr = _journey(word, d, len(word), t, True)
     for sgn, w2 in corr:
         for g2, c2 in _compose(w2, d).terms.items():
@@ -372,13 +355,12 @@ def _append_letter(d, top, g, bottom, tok, coeff, out, memo):
 
 
 def _append_token(d, dd, tok, coeff, out, memo):
-    top = _dots(dd.top_dots)
-    bottom = _dots(dd.bottom_dots)
     if tok.kind == "Y":
-        _regularize(d, top, dd.diagram, _bump(bottom, tok.index), coeff, out,
-                    memo)
+        _regularize(d, dd.top_dots, dd.diagram,
+                    _bump(dd.bottom_dots, tok.index), coeff, out, memo)
     else:
-        _append_letter(d, top, dd.diagram, bottom, tok, coeff, out, memo)
+        _append_letter(d, dd.top_dots, dd.diagram, dd.bottom_dots, tok, coeff,
+                       out, memo)
 
 
 def _append_word(d, terms, word, memo):
@@ -488,16 +470,16 @@ class DahaElement(Combination):
         return " + ".join(f"({c})*perm{p}*v^{k}" for (p, k), c in items)
 
 
-def _v_past_s(vexp, a, d):
+def _v_past_s(vexp, a):
     """Rewrite v^K s_a as [(coeff, s_present, K')]: far powers commute, the
     two zone powers swap one at a time, each swap shedding a constant term."""
-    t = a + 1 if vexp.get(a + 1) else (a if vexp.get(a) else None)
+    t = a + 1 if vexp[a] else (a if vexp[a - 1] else None)
     if t is None:
-        return [(Fraction(1), True, dict(vexp))]
+        return [(Fraction(1), True, vexp)]
     t2 = a + 1 if t == a else a
     unit = Fraction(-1 if t == a else 1)
     out = []
-    for c, flag, k2 in _v_past_s(_bump(vexp, t, -1), a, d):
+    for c, flag, k2 in _v_past_s(_bump(vexp, t, -1), a):
         out.append((c, flag, _bump(k2, t2, 1)))
     out.append((unit, False, _bump(vexp, t, -1)))
     return out
@@ -512,17 +494,17 @@ def _daha_word(word, d):
             return DahaElement.zero(d)
         for (perm, vexp), c in terms.items():
             if tok.kind == "Y":
-                key = (perm, _tup(_bump(_dots(vexp), tok.index, 1), d))
+                key = (perm, _bump(vexp, tok.index))
                 _emit(nxt, key, c)
             else:
                 a = tok.index
-                for c2, flag, k2 in _v_past_s(_dots(vexp), a, d):
+                for c2, flag, k2 in _v_past_s(vexp, a):
                     if flag:
                         swapped = tuple(a + 1 if v == a else (a if v == a + 1 else v)
                                         for v in perm)
-                        key = (swapped, _tup(k2, d))
+                        key = (swapped, k2)
                     else:
-                        key = (perm, _tup(k2, d))
+                        key = (perm, k2)
                     _emit(nxt, key, c * c2)
         terms = {k: v for k, v in nxt.items() if v}
         if not terms:

@@ -169,23 +169,6 @@ class ADElement(Combination):
             self.terms.items(), key=lambda t: t[0].matching))
 
 
-class CanonicalWord:
-    """A fixed S/E generator word for a diagram.
-
-    The basis element of the diagram is, by definition, the m = 0 image of
-    this word, so no sign relates the two.
-    """
-
-    __slots__ = ("word", "diagram")
-
-    def __init__(self, word, diagram):
-        self.word = tuple(word)
-        self.diagram = diagram
-
-    def __repr__(self):
-        return f"CanonicalWord({list(self.word)}, {self.diagram})"
-
-
 @lru_cache(maxsize=None)
 def enumerate_diagrams(d):
     """All (2d-1)!! diagrams, in a fixed deterministic order."""
@@ -207,24 +190,22 @@ def enumerate_diagrams(d):
 
 
 def marked_pair(i, j, d, kind="marked"):
-    """Word for the long-range transposition (i,j) or its marked variant.
+    """Word, as a tuple of tokens, for the long-range transposition (i,j)
+    or its marked variant.
 
     Both come from conjugating the adjacent generator at j-1 by the chain
     s_i ... s_{j-2}.
     """
     if not 1 <= i < j <= d:
         raise ValueError(f"need 1 <= i < j <= d, got ({i},{j}) at d={d}")
-    chain = [S(a) for a in range(i, j - 1)]
+    chain = tuple(S(a) for a in range(i, j - 1))
     if kind == "marked":
-        mid = [E(j - 1)]
-        diagram = BrauerDiagram.marked(d, i, j)
+        mid = (E(j - 1),)
     elif kind == "transposition":
-        mid = [S(j - 1)]
-        diagram = BrauerDiagram.transposition(d, i, j)
+        mid = (S(j - 1),)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    word = chain + mid + list(reversed(chain))
-    return CanonicalWord(word, diagram)
+    return chain + mid + chain[::-1]
 
 
 def _permutation_word(perm, d):
@@ -248,16 +229,25 @@ def _permutation_word(perm, d):
     return word
 
 
+# The one canonical-word cache.  Its 2048 entries hold every diagram on
+# d <= 5 strands (1 + 3 + 15 + 105 + 945 = 1,069).  Products stop at
+# MAX_PRODUCT_D, so only words evaluated directly reach larger d, and the
+# bound keeps those from growing the cache without limit.
+@lru_cache(maxsize=2048)
 def canonical_word(g):
-    """Factor a diagram as marked pairs (cups with matched caps) over a
-    permutation word, processing cups in increasing order of left endpoint.
+    """A fixed S/E generator word for the diagram g, as a tuple of tokens.
+
+    The basis element of g is, by definition, the m = 0 image of this word,
+    so no sign relates the two.  The word factors g as marked pairs (cups
+    with matched caps) over a permutation word, processing cups in
+    increasing order of left endpoint.
     """
     d = g.d
     cups = sorted(g.cups())
     caps = sorted(g.caps())
     word = []
     for (a, b) in cups:
-        word.extend(marked_pair(a, b, d, "marked").word)
+        word.extend(marked_pair(a, b, d, "marked"))
     perm = {}
     for (a, b), (c, e) in zip(cups, caps):
         perm[a] = c
@@ -265,7 +255,7 @@ def canonical_word(g):
     for (t, b) in g.strands():
         perm[t] = b
     word.extend(_permutation_word(perm, d))
-    return CanonicalWord(word, g)
+    return tuple(word)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +285,7 @@ def _witnesses(d):
                 (inp if v > 0 else outp)[abs(v) - 1] = digit
         i, o = spec.rank(inp), spec.rank(outp)
         value = tensoraction.apply_word_to_vector(
-            canonical_word(g).word, spec, {i: 1})[o]
+            canonical_word(g), spec, {i: 1})[o]
         out.append((g, i, o, value))
     return tuple(out)
 
@@ -314,7 +304,7 @@ def _read_diagrams(d, column):
 def psi_image(x, n):
     """The m = 0 image of an ADElement, as an EndoOperator."""
     return tensoraction.evaluate_word_sum(
-        ((canonical_word(g).word, c) for g, c in x.terms.items()),
+        ((canonical_word(g), c) for g, c in x.terms.items()),
         TensorSpaceSpec(n, 0, x.d))
 
 

@@ -69,6 +69,12 @@ def main():
     """Exact computations in an affine diagram algebra of periplectic type."""
 
 
+# normalize's time and output grow with d even for a dot word: at d = 100,000
+# y1^5*y2^4, with the 9 dot letters allowed beyond d = 4, took 1.8 s and
+# printed 1.9 MB, and y1 at d = 3,000,000 took 47 s
+_NORMALIZE_MAX_D = 100_000
+
+
 @main.command()
 @click.option("--d", "d", type=int, required=True, help="number of strands")
 @click.option("--json", "as_json", is_flag=True, help="compact JSON output")
@@ -77,6 +83,9 @@ def normalize(d, as_json, expression):
     """Rewrite EXPRESSION into the regular-monomial normal form."""
     if d < 1:
         raise click.ClickException("--d must be at least 1")
+    if d > _NORMALIZE_MAX_D:
+        raise click.ClickException(
+            f"--d {d} is above the bound {_NORMALIZE_MAX_D}")
     try:
         parsed = wordparse.parse_expression(expression, d)
     except wordparse.WordParseError as exc:

@@ -107,9 +107,6 @@ class SparseMatrix:
     def identity(cls, n):
         return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
 
-    def __getitem__(self, key):
-        return self.entries.get(key, Fraction(0))
-
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix)
                 and self.nrows == other.nrows
@@ -139,13 +136,6 @@ class SparseMatrix:
         out = [dict() for _ in range(self.nrows)]
         for (i, j), v in self.entries.items():
             out[i][j] = v
-        return out
-
-    def columns(self):
-        """Column-major view: dict col -> list of (row, value)."""
-        out = {}
-        for (i, j), v in self.entries.items():
-            out.setdefault(j, []).append((i, v))
         return out
 
     def __repr__(self):

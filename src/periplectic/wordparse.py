@@ -10,7 +10,8 @@ Grammar (whitespace free between tokens):
     scalar  :=  int ('/' int)?                  decimal-free rationals only
 
 A parsed expression is a list of (coefficient, token word) pairs; a bare
-scalar term is the empty word.  Errors carry the 0-based source position.
+scalar term is the empty word.  A term carries at most MAX_DOTS dot letters.
+Errors carry the 0-based source position.
 """
 
 import re
@@ -30,6 +31,16 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<gen>[sey])(?P<idx>\d+)|(?P<num>\d+)"
                        r"|(?P<op>[*^+/-]))")
 
 _MAKE = {"s": S, "e": E, "y": Y}
+
+# The dot letters one term may carry, for d = 1, 2, 3 and 4 strands; larger
+# d takes the d = 4 bound.  Rewriting cost grows steeply with the dots, and
+# each bound is the largest count at which every word family measured
+# normalized in about 3 s (2-core host, CPython 3.11), the next count up
+# taking 4 s or more: at d = 2 s1*y1^80 took 2.8 s and s1*y1^90 4.1 s; at
+# d = 3, 16 dots over the longest permutation 3.2 s and 18 dots 6.6 s; at
+# d = 4, 9 dots 3.3 s and 10 dots 4.8 s.  A power is checked before it is
+# expanded.
+MAX_DOTS = (80, 80, 16, 9)
 
 
 def _lex(src):
@@ -54,11 +65,14 @@ def _lex(src):
 
 
 class _Parser:
-    def __init__(self, tokens, d, source_len):
+    def __init__(self, tokens, d, src):
         self.toks = tokens
         self.i = 0
         self.d = d
-        self.end = source_len
+        self.src = src
+        self.end = len(src)
+        self.max_dots = MAX_DOTS[min(d, len(MAX_DOTS)) - 1]
+        self.dots = 0
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else (None, None, self.end)
@@ -89,9 +103,11 @@ class _Parser:
                 self.take()
                 terms.append(self.term(sign=1 if val == "+" else -1))
             else:
-                raise WordParseError(f"expected '+' or '-', got {val!r}", at)
+                text = _TOKEN_RE.match(self.src, at).group(0)
+                raise WordParseError(f"expected '+' or '-', got {text!r}", at)
 
     def term(self, sign):
+        self.dots = 0
         kind, val, at = self.peek()
         coeff = Fraction(sign)
         word = []
@@ -137,15 +153,20 @@ class _Parser:
         if not 1 <= idx <= hi:
             raise WordParseError(
                 f"index out of range: {letter}{idx} needs 1..{hi} at d={self.d}", at)
-        tok = _MAKE[letter](idx)
+        power = 1
         kind2, val2, _ = self.peek()
         if kind2 == "op" and val2 == "^":
             self.take()
             power, pat = self.expect_num("a positive power")
             if power < 1:
                 raise WordParseError("power must be positive", pat)
-            return [tok] * power
-        return [tok]
+        if letter == "y":
+            self.dots += power
+            if self.dots > self.max_dots:
+                raise WordParseError(
+                    f"a term has more than {self.max_dots} dot letters, the "
+                    f"bound at d={self.d}", at)
+        return [_MAKE[letter](idx)] * power
 
 
 def parse_expression(src, d):
@@ -155,5 +176,5 @@ def parse_expression(src, d):
     tokens = _lex(src)
     if not tokens:
         raise WordParseError("empty expression", 0)
-    parser = _Parser(tokens, d, len(src))
+    parser = _Parser(tokens, d, src)
     return parser.parse()

@@ -235,14 +235,14 @@ def test_conjugating_a_dot_relabels_it(tau, a, target):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_marked_pair_pinches_dots_at_top_degree(k):
-    word = list(marked_pair(1, 2, 3).word) + [Y(1)] * k \
-        + list(marked_pair(1, 2, 3).word)
+    word = list(marked_pair(1, 2, 3)) + [Y(1)] * k \
+        + list(marked_pair(1, 2, 3))
     got = normalize(word, 3)
     assert got.is_zero() or got.degree < k
 
 
 def test_marked_pair_annihilates_dot_difference_at_top_degree():
-    word = list(marked_pair(1, 2, 2).word)
+    word = list(marked_pair(1, 2, 2))
     x = normalize(word + [Y(1)], 2).add(normalize(word + [Y(2)], 2), -1)
     assert x.is_zero() or x.degree < 1
 

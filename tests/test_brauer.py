@@ -43,34 +43,34 @@ def test_every_vertex_matched_once():
 
 def test_marked_pair_12_transposition():
     w = marked_pair(1, 2, 2, kind="transposition")
-    assert list(w.word) == [S(1)]
+    assert list(w) == [S(1)]
 
 
 def test_marked_pair_12_marked():
     w = marked_pair(1, 2, 2)
-    assert list(w.word) == [E(1)]
+    assert list(w) == [E(1)]
 
 
 def test_marked_pair_13_conjugated():
     w = marked_pair(1, 3, 3)
-    assert list(w.word) == [S(1), E(2), S(1)]
+    assert list(w) == [S(1), E(2), S(1)]
 
 
 def test_identity_word_is_empty():
-    assert list(canonical_word(BrauerDiagram.identity(3)).word) == []
+    assert list(canonical_word(BrauerDiagram.identity(3))) == []
 
 
 def test_cupcap_word_is_single_bend():
     g = BrauerDiagram.eps_generator(2, 1)
-    assert list(canonical_word(g).word) == [E(1)]
+    assert list(canonical_word(g)) == [E(1)]
 
 
 def test_three_cycle_word_is_two_crossings():
     g = BrauerDiagram.from_permutation(3, {1: 2, 2: 3, 3: 1})
     w = canonical_word(g)
-    assert len(w.word) == 2 and all(t.kind == "S" for t in w.word)
+    assert len(w) == 2 and all(t.kind == "S" for t in w)
     # the image under the faithful representation has the right support
-    op = evaluate_word(list(w.word), TensorSpaceSpec(3, 0, 3))
+    op = evaluate_word(list(w), TensorSpaceSpec(3, 0, 3))
     perms = {tuple(op.spec.digits(j)): tuple(op.spec.digits(i))
              for (i, j) in op.matrix.entries}
     src = (0, 1, 2)
@@ -80,8 +80,65 @@ def test_three_cycle_word_is_two_crossings():
 def test_every_word_reproduces_its_diagram():
     for d in (1, 2, 3, 4):
         for g in enumerate_diagrams(d):
-            x = diagram_of_word(list(canonical_word(g).word), d)
+            x = diagram_of_word(list(canonical_word(g)), d)
             assert x == ADElement.from_diagram(g)
+
+
+def stack(g, h):
+    """The matching of g drawn on top of h, and whether a closed loop formed.
+
+    Pictures only: g's bottom vertex -k is glued to h's top vertex k, and
+    each path from an outer vertex is followed through the glued row.
+    """
+    d = g.d
+    nbr = {}
+    for diagram, upper, lower in ((g, "T", "M"), (h, "M", "B")):
+        ends = [[(upper if v > 0 else lower, abs(v)) for v in pair]
+                for pair in diagram.matching]
+        for x, y in ends:
+            nbr.setdefault(x, []).append(y)
+            nbr.setdefault(y, []).append(x)
+    pairs, seen = [], set()
+    for start in [(row, k) for row in "TB" for k in range(1, d + 1)]:
+        if start in seen:
+            continue
+        prev, cur = start, nbr[start][0]
+        while cur[0] == "M":
+            seen.add(cur)
+            a, b = nbr[cur]
+            prev, cur = cur, (b if a == prev else a)
+        seen.update((start, cur))
+        pairs.append(tuple(k if row == "T" else -k for row, k in (start, cur)))
+    loop = len(seen) < 3 * d
+    return BrauerDiagram(d, pairs), loop
+
+
+def stacked_word(word, d):
+    letters = {"S": BrauerDiagram.s_generator, "E": BrauerDiagram.eps_generator}
+    acc = BrauerDiagram.identity(d)
+    for tok in word:
+        acc, loop = stack(acc, letters[tok.kind](d, tok.index))
+        assert not loop
+    return acc
+
+
+def test_stacking_agrees_with_the_representation():
+    g = BrauerDiagram.eps_generator(3, 1)
+    assert stack(g, g)[1]
+    for w in ([S(1), E(2)], [E(1), S(2), E(1)], [S(2), S(1), S(2)]):
+        # the representation also carries a sign, which stacking ignores
+        assert list(diagram_of_word(w, 3).terms) == [stacked_word(w, 3)]
+
+
+@pytest.mark.parametrize("d,sample", [(4, None), (5, None), (6, 300)])
+def test_canonical_words_stack_to_their_diagram(d, sample):
+    # beyond MAX_PRODUCT_D, where diagram_of_word refuses the product
+    diagrams = enumerate_diagrams(d)
+    if sample:
+        diagrams = random.Random(d).sample(diagrams, sample)
+    for g in diagrams:
+        assert stacked_word(canonical_word(g), d) == g
+    assert canonical_word.cache_info().maxsize == 2048
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -89,7 +146,7 @@ def test_matching_of_operator_reads_back_every_diagram(d):
     for n in (d, d + 1):
         spec = TensorSpaceSpec(n, 0, d)
         for g in enumerate_diagrams(d):
-            op = evaluate_word(canonical_word(g).word, spec)
+            op = evaluate_word(canonical_word(g), spec)
             assert matching_of_operator(op, d) == g
 
 
@@ -101,7 +158,7 @@ def test_each_witness_sees_its_own_diagram_only(d):
     witnesses = _witnesses(d)
     assert [w[0] for w in witnesses] == list(enumerate_diagrams(d))
     for h in enumerate_diagrams(d):
-        cols = evaluate_word(canonical_word(h).word, spec).columns
+        cols = evaluate_word(canonical_word(h), spec).columns
         for g, i, o, value in witnesses:
             seen = cols.get(i, {}).get(o, 0)
             if g == h:
@@ -114,7 +171,7 @@ def test_each_witness_sees_its_own_diagram_only(d):
 def test_read_diagrams_agrees_with_the_matching_pattern(d):
     spec = TensorSpaceSpec(d, 0, d)
     for g in enumerate_diagrams(d):
-        op = evaluate_word(canonical_word(g).word, spec)
+        op = evaluate_word(canonical_word(g), spec)
         assert (_read_diagrams(d, op.columns.get)
                 == ADElement.from_diagram(matching_of_operator(op, d)))
 
@@ -261,7 +318,7 @@ def _psi_by_fold(x, n):
     spec = TensorSpaceSpec(n, 0, x.d)
     acc = EndoOperator.zero(spec)
     for g, c in x.terms.items():
-        acc = acc.add(evaluate_word(canonical_word(g).word, spec), c)
+        acc = acc.add(evaluate_word(canonical_word(g), spec), c)
     return acc
 
 

@@ -9,6 +9,7 @@ from periplectic.documents import dumps, to_document
 from periplectic.affine import normalize
 from periplectic.brauer import ADElement, BrauerDiagram
 from periplectic.tensoraction import E, S, Y
+from periplectic.wordparse import MAX_DOTS
 
 
 @pytest.fixture
@@ -209,3 +210,34 @@ def test_normalize_dot_words_at_five_strands(runner):
     res = invoke(runner, "normalize", "--d", "5", "--json", "y1*y3*y5")
     assert res.exit_code == 0
     assert json.loads(res.output)["terms"][0]["top_dots"] == [1, 0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("d,expression,message", [
+    ("2", "s1*y1^120", "more than 80 dot letters"),
+    ("2", "s1*y1^240", "more than 80 dot letters"),
+    ("2", "y1^1000000000000", "more than 80 dot letters"),
+    ("3000000", "y1", "above the bound 100000")])
+def test_normalize_refuses_an_infeasible_input_at_once(runner, d, expression,
+                                                       message):
+    start = time.perf_counter()
+    res = invoke(runner, "normalize", "--d", d, expression)
+    assert time.perf_counter() - start < 5
+    assert res.exit_code != 0
+    assert message in res.output
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_normalize_dot_bound_counts_each_term(runner, d):
+    bound = MAX_DOTS[min(d, 4) - 1]
+    ok = invoke(runner, "normalize", "--d", str(d),
+                f"y1^{bound - 1}*y{d} + y1^{bound}")
+    assert ok.exit_code == 0
+    res = invoke(runner, "normalize", "--d", str(d), f"y1^{bound}*y{d}")
+    assert res.exit_code != 0
+    assert f"more than {bound} dot letters" in res.output
+
+
+def test_normalize_reports_the_unexpected_source_text(runner):
+    res = invoke(runner, "normalize", "--d", "2", "s1 s1")
+    assert res.exit_code != 0
+    assert "got 's1' (at position 3)" in res.output

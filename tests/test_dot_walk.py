@@ -9,13 +9,32 @@ exponential in the number of dots and stays here only as the oracle.
 import random
 from fractions import Fraction
 
-from periplectic.affine import (DotDiagram, PdElement, _bump, _cap_right_ends,
-                                _compose, _cup_right_ends, _cw, _dots, _emit,
-                                _journey, _tup, multiply, normalize,
-                                word_expansion)
+from periplectic.affine import (DotDiagram, PdElement, _cap_right_ends,
+                                _compose, _cup_right_ends, _emit, _journey,
+                                multiply, normalize, word_expansion)
+from periplectic.brauer import canonical_word as _cw
 from periplectic.tensoraction import E, S, Y
 
 ALPHABET_D3 = (S(1), S(2), E(1), E(2), Y(1), Y(2), Y(3))
+ALPHABET_D4 = (S(1), S(2), S(3), E(1), E(2), E(3), Y(1), Y(2), Y(3), Y(4))
+
+
+# The oracle keeps dot counts as {position: count} dicts without zeros, a
+# format that shares no code with the engine's d-tuples.
+def _bump(dots, t, delta=1):
+    nxt = dict(dots)
+    nxt[t] = nxt.get(t, 0) + delta
+    if not nxt[t]:
+        del nxt[t]
+    return nxt
+
+
+def _tup(dots, d):
+    return tuple(dots.get(k, 0) for k in range(1, d + 1))
+
+
+def _dots(vec):
+    return {k: c for k, c in enumerate(vec, start=1) if c}
 
 
 def old_regularize(d, top, g, bottom, coeff, out):
@@ -125,8 +144,8 @@ def test_dot_powers_match_the_old_walk():
         assert normalize(word, 2) == old_normalize(word, 2), k
 
 
-def random_word(rng, longest):
-    return [rng.choice(ALPHABET_D3) for _ in range(rng.randint(0, longest))]
+def random_word(rng, longest, alphabet=ALPHABET_D3):
+    return [rng.choice(alphabet) for _ in range(rng.randint(0, longest))]
 
 
 def test_random_d3_words_match_the_old_walk():
@@ -139,4 +158,15 @@ def test_random_d3_words_match_the_old_walk():
         x = normalize(random_word(rng, 4), 3)
         y = normalize(random_word(rng, 4), 3)
         mismatches += multiply(x, y) != old_multiply(x, y)
+    assert mismatches == 0
+
+
+def test_random_d4_words_match_the_old_walk():
+    rng = random.Random(2025)
+    words = []
+    while len(words) < 100:
+        word = random_word(rng, 7, ALPHABET_D4)
+        if sum(t.kind == "Y" for t in word) <= 3:
+            words.append(word)
+    mismatches = sum(normalize(w, 4) != old_normalize(w, 4) for w in words)
     assert mismatches == 0
