@@ -20,7 +20,6 @@ diagram-algebra oracle; the walk itself never consults the representation, so
 the two routes stay independent and can be compared in tests.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -41,7 +40,7 @@ class DotDiagram:
     `is_regular`.
     """
 
-    __slots__ = ("d", "diagram", "top_dots", "bottom_dots", "_key")
+    __slots__ = ("d", "diagram", "top_dots", "bottom_dots", "_key", "_hash")
 
     def __init__(self, d, diagram, top_dots, bottom_dots):
         if diagram.d != d:
@@ -52,11 +51,24 @@ class DotDiagram:
             raise ValueError("dot vectors must have length d")
         if any(v < 0 for v in top_dots + bottom_dots):
             raise ValueError("dot counts must be nonnegative")
+        self._fill(d, diagram, top_dots, bottom_dots)
+
+    def _fill(self, d, diagram, top_dots, bottom_dots):
         self.d = d
         self.diagram = diagram
         self.top_dots = top_dots
         self.bottom_dots = bottom_dots
         self._key = (d, diagram.matching, top_dots, bottom_dots)
+        # monomials key every normal form and walk memo; hash the key once
+        self._hash = hash(self._key)
+
+    @classmethod
+    def _trusted(cls, d, diagram, top_dots, bottom_dots):
+        """A monomial from d-tuples of nonnegative ints, unvalidated: only
+        the rewriting engine, which builds nothing else, calls this."""
+        self = cls.__new__(cls)
+        self._fill(d, diagram, top_dots, bottom_dots)
+        return self
 
     @classmethod
     def bare(cls, d, diagram=None):
@@ -71,18 +83,22 @@ class DotDiagram:
         return isinstance(other, DotDiagram) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"y{self.top_dots}.{self.diagram}.y{self.bottom_dots}"
 
 
+# Keyed by diagram, as `brauer.canonical_word` is, and bounded the same way:
+# 2048 entries hold every diagram on d <= 5 strands.
+@lru_cache(maxsize=2048)
 def _cup_right_ends(g):
-    return {r for _l, r in g.cups()}
+    return frozenset(r for _l, r in g.cups())
 
 
+@lru_cache(maxsize=2048)
 def _cap_right_ends(g):
-    return {r for _l, r in g.caps()}
+    return frozenset(r for _l, r in g.caps())
 
 
 def is_regular(x):
@@ -108,11 +124,11 @@ class PdElement(Combination):
 
     @classmethod
     def one(cls, d):
-        return cls(d, {DotDiagram.bare(d): Fraction(1)})
+        return cls(d, {DotDiagram.bare(d): 1})
 
     @classmethod
     def from_monomial(cls, u, coeff=1):
-        return cls(u.d, {u: Fraction(coeff)})
+        return cls(u.d, {u: coeff})
 
     @property
     def degree(self):
@@ -178,7 +194,12 @@ def word_expansion(u):
 # the rewriting engine
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# Its words are a diagram's canonical word with one letter appended, or with
+# one S letter replaced by E or dropped (a dot walk's corrections): at most
+# 105 * 6 + 1,013 = 1,643 words at d = 4 and 139 at d = 3, and products stop
+# at d = 4, so 2048 entries hold all of them.  6,000 random d = 4 words of
+# up to 14 letters filled 877.
+@lru_cache(maxsize=2048)
 def _compose(word, d):
     """Dotless letter word -> exact diagram combination (at most one term)."""
     return diagram_of_word(list(word), d)
@@ -244,7 +265,7 @@ def _bump(dots, t, delta=1):
 
 
 def _emit(out, key, coeff):
-    val = out.get(key, Fraction(0)) + coeff
+    val = out.get(key, 0) + coeff
     if val:
         out[key] = val
     elif key in out:
@@ -303,7 +324,7 @@ def _walk(d, top, g, bottom, memo):
         assert side == "top", "a cup right end must walk back to the top row"
         _regularize(d, _bump(rest, land), g, bottom, 1, out, memo)
         return out
-    return {DotDiagram(d, g, top, bottom): 1}
+    return {DotDiagram._trusted(d, g, top, bottom): 1}
 
 
 def _append_letter(d, top, g, bottom, tok, coeff, out, memo):
@@ -332,9 +353,9 @@ def _append_letter(d, top, g, bottom, tok, coeff, out, memo):
     if tok.kind == "S":
         # the dot passes straight through the new crossing
         t2 = a + 1 if t == a else a
-        unit = Fraction(-1 if t == a else 1)
+        unit = -1 if t == a else 1
         tmp = {}
-        _append_letter(d, top, g, rest, tok, Fraction(1), tmp, memo)
+        _append_letter(d, top, g, rest, tok, 1, tmp, memo)
         for dd, c in tmp.items():
             _regularize(d, dd.top_dots, dd.diagram, _bump(dd.bottom_dots, t2),
                         coeff * c, out, memo)
@@ -377,9 +398,14 @@ def _append_word(d, terms, word, memo):
     return terms
 
 
-@lru_cache(maxsize=None)
+# Bounded so that memory stays flat however many distinct words a process
+# normalizes: unbounded, the benchmark's rewrite workload (random d = 3
+# words) peaked at 66.8 MB after 28,000 operations and 90.3 MB after 42,000;
+# bounded, at 44.6 and 52.4 MB.  8192 entries keep every product operand of
+# 2 to 4 letters at d = 3 (at most 2,793 distinct words) cached.
+@lru_cache(maxsize=8192)
 def _normalize_cached(word, d):
-    terms = _append_word(d, {DotDiagram.bare(d): Fraction(1)}, word, {})
+    terms = _append_word(d, {DotDiagram.bare(d): 1}, word, {})
     return PdElement(d, terms)
 
 
@@ -461,7 +487,7 @@ class DahaElement(Combination):
 
     @classmethod
     def one(cls, d):
-        return cls(d, {(tuple(range(1, d + 1)), (0,) * d): Fraction(1)})
+        return cls(d, {(tuple(range(1, d + 1)), (0,) * d): 1})
 
     def __repr__(self):
         if not self.terms:
@@ -475,9 +501,9 @@ def _v_past_s(vexp, a):
     two zone powers swap one at a time, each swap shedding a constant term."""
     t = a + 1 if vexp[a] else (a if vexp[a - 1] else None)
     if t is None:
-        return [(Fraction(1), True, vexp)]
+        return [(1, True, vexp)]
     t2 = a + 1 if t == a else a
-    unit = Fraction(-1 if t == a else 1)
+    unit = -1 if t == a else 1
     out = []
     for c, flag, k2 in _v_past_s(_bump(vexp, t, -1), a):
         out.append((c, flag, _bump(k2, t2, 1)))
@@ -487,7 +513,7 @@ def _v_past_s(vexp, a):
 
 def _daha_word(word, d):
     check_word(word, d)
-    terms = {(tuple(range(1, d + 1)), (0,) * d): Fraction(1)}
+    terms = {(tuple(range(1, d + 1)), (0,) * d): 1}
     for tok in word:
         nxt = {}
         if tok.kind == "E":

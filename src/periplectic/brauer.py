@@ -14,7 +14,6 @@ Words multiply by stacking: in a product x*y the x-word sits on top.  Under
 the right-action convention the matrix of x*y is Mat(y) . Mat(x).
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import tensoraction
@@ -50,7 +49,7 @@ def _vkey(v):
 class BrauerDiagram:
     """A perfect matching on {1..d} and {-1..-d}, stored canonically."""
 
-    __slots__ = ("d", "matching")
+    __slots__ = ("d", "matching", "_hash")
 
     def __init__(self, d, matching):
         pairs = []
@@ -65,6 +64,8 @@ class BrauerDiagram:
             raise ValueError(f"not a perfect matching on {2*d} vertices: {matching}")
         self.d = d
         self.matching = tuple(pairs)
+        # diagrams key every term and cache; hash the matching once
+        self._hash = hash((d, self.matching))
 
     # -- structure ---------------------------------------------------------
 
@@ -137,7 +138,7 @@ class BrauerDiagram:
                 and self.d == other.d and self.matching == other.matching)
 
     def __hash__(self):
-        return hash((self.d, self.matching))
+        return self._hash
 
     def __repr__(self):
         def v(x):
@@ -156,11 +157,11 @@ class ADElement(Combination):
 
     @classmethod
     def one(cls, d):
-        return cls(d, {BrauerDiagram.identity(d): Fraction(1)})
+        return cls(d, {BrauerDiagram.identity(d): 1})
 
     @classmethod
     def from_diagram(cls, g, coeff=1):
-        return cls(g.d, {g: Fraction(coeff)})
+        return cls(g.d, {g: coeff})
 
     def __repr__(self):
         if not self.terms:
@@ -297,7 +298,8 @@ def _read_diagrams(d, column):
     for g, i, o, value in _witnesses(d):
         v = (column(i) or {}).get(o)
         if v:
-            terms[g] = Fraction(v) / value
+            # value is +-1, so dividing by it is multiplying by it
+            terms[g] = v * value
     return ADElement(d, terms)
 
 
@@ -336,8 +338,8 @@ def jm_element(j, d):
         raise ValueError(f"j={j} out of range for d={d}")
     terms = {}
     for k in range(1, j):
-        terms[BrauerDiagram.transposition(d, k, j)] = Fraction(1)
-        terms[BrauerDiagram.marked(d, k, j)] = Fraction(1)
+        terms[BrauerDiagram.transposition(d, k, j)] = 1
+        terms[BrauerDiagram.marked(d, k, j)] = 1
     return ADElement(d, terms)
 
 

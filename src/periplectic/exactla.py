@@ -15,7 +15,8 @@ returns its coefficients.  `rank` counts the rows it keeps and
 `solve_in_span` reads a combination of dict vectors back from it, both
 through the single reduction loop `kernels.reduce_against`.  `Combination`
 is the one element type behind the diagram, affine and polynomial-quotient
-algebras.
+algebras; `scalar` is the one rule for its coefficients and for operator
+scales: an int when integral, a Fraction otherwise.
 """
 
 from fractions import Fraction
@@ -26,6 +27,18 @@ from . import kernels
 
 class NotInSpan(Exception):
     """Raised by Echelon.solve when the target is outside the span."""
+
+
+def scalar(c):
+    """c as an exact scalar: an int when it is integral, else a Fraction.
+
+    Ints add and multiply several times faster than Fractions, and an
+    integral Fraction equals, hashes and prints like its int.
+    """
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _norm_entries(entries):
@@ -39,7 +52,8 @@ def _norm_entries(entries):
 
 class Combination:
     """A rational combination of basis keys on d strands: `terms` maps
-    key -> nonzero Fraction.
+    key -> nonzero coefficient, an int when it is integral and a Fraction
+    otherwise (see `scalar`).
 
     Each algebra's element type subclasses it, naming its basis keys and
     checking every key in `_check_key`.  Elements of different types are
@@ -54,7 +68,8 @@ class Combination:
         clean = {}
         for key, c in (terms or {}).items():
             check(key)
-            c = Fraction(c)
+            if type(c) is not int:
+                c = scalar(c)
             if c:
                 clean[key] = c
         self.terms = clean
@@ -70,11 +85,11 @@ class Combination:
         if self.d != other.d:
             raise ValueError("mixed strand counts")
         acc = dict(self.terms)
-        kernels.combine_scaled(acc, other.terms, Fraction(scale))
+        kernels.combine_scaled(acc, other.terms, scalar(scale))
         return type(self)(self.d, acc)
 
     def scaled(self, c):
-        c = Fraction(c)
+        c = scalar(c)
         return type(self)(self.d, {k: c * v for k, v in self.terms.items()})
 
     def is_zero(self):

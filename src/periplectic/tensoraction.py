@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import kernels
-from .exactla import Echelon, SparseMatrix
+from .exactla import Echelon, SparseMatrix, scalar
 # unused here; perfbench/tracer.py wraps tensoraction.mat_mul by name
 from .exactla import mat_mul  # noqa: F401
 from .superalgebra import pn_basis_with_duals
@@ -179,7 +179,7 @@ class EndoOperator:
     def add(self, other, scale=1):
         if self.spec.dim != other.spec.dim:
             raise ValueError("shape mismatch")
-        scale = _scalar(scale)
+        scale = scalar(scale)
         cols = {j: dict(col) for j, col in self.columns.items()}
         for j, col in other.columns.items():
             if not kernels.combine_scaled(cols.setdefault(j, {}), col, scale):
@@ -187,7 +187,7 @@ class EndoOperator:
         return EndoOperator._wrap(self.spec, cols)
 
     def scaled(self, c):
-        c = _scalar(c)
+        c = scalar(c)
         if not c:
             return EndoOperator.zero(self.spec)
         return EndoOperator._wrap(
@@ -208,13 +208,6 @@ class EndoOperator:
     def __repr__(self):
         nnz = sum(map(len, self.columns.values()))
         return f"EndoOperator({self.spec}, {nnz} nonzero)"
-
-
-def _scalar(c):
-    """c as an exact scalar: an int when it is integral, since ints multiply
-    much faster than Fractions."""
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 @lru_cache(maxsize=None)
@@ -423,7 +416,7 @@ def evaluate_word_sum(weighted_words, spec):
     for word, coeff in weighted_words:
         word = tuple(word)
         check_word(word, spec.d)
-        c = _scalar(coeff)
+        c = scalar(coeff)
         if not c:
             continue
         for t, vec in _evaluate_raw(word, spec).items():
@@ -465,7 +458,7 @@ def g_action(x, spec, slots=None):
     par = x.declared_parity
     x_cols = {}
     for (i, j), v in x.data.entries.items():
-        x_cols.setdefault(j, []).append((i, _scalar(v)))
+        x_cols.setdefault(j, []).append((i, scalar(v)))
     cols = {}
     for t in range(spec.dim):
         dg = spec.digits(t)

@@ -10,7 +10,8 @@ Grammar (whitespace free between tokens):
     scalar  :=  int ('/' int)?                  decimal-free rationals only
 
 A parsed expression is a list of (coefficient, token word) pairs; a bare
-scalar term is the empty word.  A term carries at most MAX_DOTS dot letters.
+scalar term is the empty word.  A term carries at most MAX_DOTS dot letters,
+and its s and e letters weigh at most MAX_LETTER_WORK (see `letter_weight`).
 Errors carry the 0-based source position.
 """
 
@@ -33,14 +34,39 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<gen>[sey])(?P<idx>\d+)|(?P<num>\d+)"
 _MAKE = {"s": S, "e": E, "y": Y}
 
 # The dot letters one term may carry, for d = 1, 2, 3 and 4 strands; larger
-# d takes the d = 4 bound.  Rewriting cost grows steeply with the dots, and
-# each bound is the largest count at which every word family measured
-# normalized in about 3 s (2-core host, CPython 3.11), the next count up
-# taking 4 s or more: at d = 2 s1*y1^80 took 2.8 s and s1*y1^90 4.1 s; at
-# d = 3, 16 dots over the longest permutation 3.2 s and 18 dots 6.6 s; at
-# d = 4, 9 dots 3.3 s and 10 dots 4.8 s.  A power is checked before it is
-# expanded.
+# d takes the d = 4 bound.  Rewriting cost grows steeply with the dots.  Each
+# bound was set, when the engine still computed in Fractions, as the largest
+# count at which every word family measured normalized in about 3 s (2-core
+# host, CPython 3.11), the next count up taking 4 s or more.  The integer
+# engine takes, for the same words: at d = 2 s1*y1^80 0.47 s (2.4 s before,
+# timed again alongside) and s1*y1^90 0.62 s; at d = 3, 16 dots over the
+# longest permutation 0.71 s and 18 dots 1.3 s; at d = 4, 9 dots 1.9 s and
+# 10 dots 2.3 s.  The bounds are kept, because the letter weights below were
+# fitted only up to them.  A power is checked before it is expanded.
 MAX_DOTS = (80, 80, 16, 9)
+
+# An s or e letter is appended to the normal form of the letters before it,
+# which holds more terms, with more dots to walk, the more dot letters
+# precede it in its term.  So the letter weighs (dots + 2)^3 * growth^dots,
+# growth for d = 1, 2, 3 and 4 strands (larger d takes d = 4's), and a
+# term's letters may weigh at most MAX_LETTER_WORK.  Both are fitted to the
+# costliest word families measured (the longest permutation or a bend, dots
+# spread over the strands, then a run of s letters or of s and e letters;
+# 2-core host, CPython 3.11), so that the bound admits no more letters after
+# each dot count than normalized in about 3 s: at d = 2, 262,144 letters
+# after no dots took 2.5 s, 256 after 20 dots 1.9 s (the bound admits 196)
+# and 4 after 80 dots 2.5 s (it admits 3); at d = 3, 256 after 8 dots took
+# 1.6 s (it admits 142) and 4 after 16 dots 11 s (it admits 1); at d = 4,
+# 16 after 8 dots took 4.5 s (it admits 8).  It refuses s1*y1^20*y2^20*s1^200
+# at d = 2, which took 7.6 s.  A power is weighed before it is expanded.
+LETTER_GROWTH = ((1, 1), (1, 1), (7, 5), (2, 1))
+MAX_LETTER_WORK = 2 ** 21
+
+
+def letter_weight(dots, d):
+    """The weight of an s or e letter after `dots` dot letters of its term."""
+    num, den = LETTER_GROWTH[min(d, len(LETTER_GROWTH)) - 1]
+    return (dots + 2) ** 3 * num ** dots // den ** dots
 
 
 def _lex(src):
@@ -73,6 +99,7 @@ class _Parser:
         self.end = len(src)
         self.max_dots = MAX_DOTS[min(d, len(MAX_DOTS)) - 1]
         self.dots = 0
+        self.work = 0
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else (None, None, self.end)
@@ -108,6 +135,7 @@ class _Parser:
 
     def term(self, sign):
         self.dots = 0
+        self.work = 0
         kind, val, at = self.peek()
         coeff = Fraction(sign)
         word = []
@@ -166,6 +194,13 @@ class _Parser:
                 raise WordParseError(
                     f"a term has more than {self.max_dots} dot letters, the "
                     f"bound at d={self.d}", at)
+        else:
+            self.work += power * letter_weight(self.dots, self.d)
+            if self.work > MAX_LETTER_WORK:
+                raise WordParseError(
+                    f"a term's s and e letters weigh more than "
+                    f"{MAX_LETTER_WORK}, the bound at d={self.d} (a letter "
+                    f"weighs more the more dot letters precede it)", at)
         return [_MAKE[letter](idx)] * power
 
 

@@ -10,6 +10,8 @@ from periplectic.affine import normalize
 from periplectic.brauer import ADElement, BrauerDiagram
 from periplectic.tensoraction import E, S, Y
 from periplectic.wordparse import MAX_DOTS
+from periplectic.wordparse import (MAX_LETTER_WORK, WordParseError,
+                                   letter_weight, parse_expression)
 
 
 @pytest.fixture
@@ -241,3 +243,27 @@ def test_normalize_reports_the_unexpected_source_text(runner):
     res = invoke(runner, "normalize", "--d", "2", "s1 s1")
     assert res.exit_code != 0
     assert "got 's1' (at position 3)" in res.output
+
+
+def test_normalize_refuses_many_letters_after_many_dots_at_once(runner):
+    start = time.perf_counter()
+    res = invoke(runner, "normalize", "--d", "2", "s1*y1^20*y2^20*s1^200")
+    assert time.perf_counter() - start < 5
+    assert res.exit_code != 0
+    assert f"weigh more than {MAX_LETTER_WORK}, the bound at d=2" in res.output
+
+
+@pytest.mark.parametrize("d,dots", [(2, 0), (2, 20), (2, 80), (3, 8), (3, 16),
+                                    (4, 9), (5, 3)])
+def test_letter_bound_weighs_each_power_after_the_dots_before_it(d, dots):
+    allowed = MAX_LETTER_WORK // letter_weight(dots, d)
+    ys = f"y1^{dots}*" if dots else ""
+    ok = parse_expression(f"{ys}s1^{allowed} + {ys}s1^{allowed}", d)
+    assert [len(w) for _c, w in ok] == [dots + allowed] * 2
+    with pytest.raises(WordParseError, match=str(MAX_LETTER_WORK)):
+        parse_expression(f"{ys}s1^{allowed}*e1", d)
+    with pytest.raises(WordParseError, match=str(MAX_LETTER_WORK)):
+        parse_expression(f"{ys}s1^{10 ** 15}", d)
+    if dots:
+        # letters before the dots weigh as if no dot preceded them
+        parse_expression(f"s1^{MAX_LETTER_WORK // letter_weight(0, d)}*y1", d)
