@@ -334,7 +334,9 @@ def _append_letter(d, top, g, bottom, tok, coeff, out, memo):
     them through directly, while for a new cup the blocking dot is walked up
     along its strand until the zone is clear.  With the zone clear, the
     dotless letters compose through the diagram oracle and the surviving
-    dots are re-legalized against the composite diagram.
+    dots are re-legalized against the composite diagram.  A blocked product
+    is linear in coeff, so like `_regularize` it is expanded once at
+    coefficient 1, kept in `memo` under (g, top, bottom, tok), and scaled.
     """
     if not coeff:
         return
@@ -343,36 +345,47 @@ def _append_letter(d, top, g, bottom, tok, coeff, out, memo):
         # the new cup meets this cap in a closed loop; any dots caught
         # between the two bends are killed as well
         return
-    blockers = [t for t in (a + 1, a) if bottom[t - 1]]
-    if not blockers:
+    if not (bottom[a - 1] or bottom[a]):
         for g2, c2 in _compose(canonical_word(g) + (tok,), d).terms.items():
             _regularize(d, top, g2, bottom, coeff * c2, out, memo)
         return
-    t = blockers[0]
+    key = (g, top, bottom, tok)
+    unit = memo.get(key)
+    if unit is None:
+        unit = memo[key] = _blocked_letter(d, top, g, bottom, tok, memo)
+    combine_scaled(out, unit, coeff)
+
+
+def _blocked_letter(d, top, g, bottom, tok, memo):
+    """y^top . g . y^bottom . tok as regular monomials, {monomial:
+    coefficient}, when a bottom dot sits at one of the token's positions."""
+    out = {}
+    a = tok.index
+    t = a + 1 if bottom[a] else a
     rest = _bump(bottom, t, -1)
     if tok.kind == "S":
         # the dot passes straight through the new crossing
         t2 = a + 1 if t == a else a
-        unit = -1 if t == a else 1
         tmp = {}
         _append_letter(d, top, g, rest, tok, 1, tmp, memo)
         for dd, c in tmp.items():
             _regularize(d, dd.top_dots, dd.diagram, _bump(dd.bottom_dots, t2),
-                        coeff * c, out, memo)
-        _append_letter(d, top, g, rest, E(a), -coeff, out, memo)
-        _regularize(d, top, g, rest, unit * coeff, out, memo)
-        return
+                        c, out, memo)
+        _append_letter(d, top, g, rest, E(a), -1, out, memo)
+        _regularize(d, top, g, rest, -1 if t == a else 1, out, memo)
+        return out
     # new cup: walk the blocking dot out of the zone first
     word = canonical_word(g)
     (side, land), corr = _journey(word, d, len(word), t, True)
     for sgn, w2 in corr:
         for g2, c2 in _compose(w2, d).terms.items():
-            _append_letter(d, top, g2, rest, tok, coeff * sgn * c2, out, memo)
+            _append_letter(d, top, g2, rest, tok, sgn * c2, out, memo)
     if side == "top":
-        _append_letter(d, _bump(top, land), g, rest, tok, coeff, out, memo)
+        _append_letter(d, _bump(top, land), g, rest, tok, 1, out, memo)
     else:
         assert land not in (a, a + 1), "walked dot must leave the cup zone"
-        _append_letter(d, top, g, _bump(rest, land), tok, coeff, out, memo)
+        _append_letter(d, top, g, _bump(rest, land), tok, 1, out, memo)
+    return out
 
 
 def _append_token(d, dd, tok, coeff, out, memo):
@@ -386,8 +399,8 @@ def _append_token(d, dd, tok, coeff, out, memo):
 
 def _append_word(d, terms, word, memo):
     """Append the tokens of word to the normal-form terms one at a time;
-    `memo` holds _regularize's walks and lives for one normalize or
-    multiply call."""
+    `memo` holds the walks of _regularize and the blocked letters of
+    _append_letter, and lives for one normalize or multiply call."""
     for tok in word:
         nxt = {}
         for dd, c in terms.items():

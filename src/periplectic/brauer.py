@@ -170,7 +170,11 @@ class ADElement(Combination):
             self.terms.items(), key=lambda t: t[0].matching))
 
 
-@lru_cache(maxsize=None)
+# One entry per strand count, holding (2d - 1)!! diagrams: the whole test
+# suite enumerates six strand counts and the benchmark workloads at most
+# two, so eight entries hold every working set (d = 8 alone is 2,027,025
+# diagrams).
+@lru_cache(maxsize=8)
 def enumerate_diagrams(d):
     """All (2d-1)!! diagrams, in a fixed deterministic order."""
     if d < 1:

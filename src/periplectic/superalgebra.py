@@ -249,3 +249,34 @@ def pn_basis_with_duals(n):
             pairs.append(PnDualPair(basis, dual, "Y_st", (s, t)))
     assert len(pairs) == 2 * n * n
     return pairs
+
+
+def pn_generators(n, with_cartan=False):
+    """A generating set of p(n) drawn from the basis of pn_basis_with_duals.
+
+    The set is the Chevalley elements E_{s,s+1} and E_{s+1,s} (s < n), X_11
+    and, for n >= 2, Y_12: 2n elements (X_11 alone at n = 1, where g_{-1}
+    is zero).  With the diagonal E_ss they
+    generate p(n) under the superbracket.  The Chevalley and diagonal
+    elements generate gl(n) = g_0; g_1, spanned by the X_st, is S^2 V as a
+    gl(n)-module, irreducible and generated by X_11; g_{-1}, spanned by the
+    Y_st, is Lambda^2 V* and generated by Y_12.
+
+    Why this is enough for commutants: for an operator T on a representation
+    rho, the x with T rho(x) = rho(x) T form a sub-superalgebra, since
+    rho([x, y]) = rho(x) rho(y) -/+ rho(y) rho(x).  So T commutes with all of
+    p(n) iff it commutes with this set and the diagonal E_ss.
+    `with_cartan=True` appends the n diagonal E_ss (in that order), for
+    callers that do not already confine T to weight blocks.
+
+    Returns the chosen PnDualPair objects of pn_basis_with_duals(n).
+    """
+    wanted = [("E_st", (s, s + 1)) for s in range(1, n)]
+    wanted += [("E_st", (s + 1, s)) for s in range(1, n)]
+    wanted.append(("X_ss", (1, 1)))
+    if n >= 2:
+        wanted.append(("Y_st", (1, 2)))
+    if with_cartan:
+        wanted += [("E_st", (s, s)) for s in range(1, n + 1)]
+    by_key = {(p.kind, p.indices): p for p in pn_basis_with_duals(n)}
+    return [by_key[k] for k in wanted]

@@ -31,7 +31,7 @@ from . import kernels
 from .exactla import Echelon, SparseMatrix, scalar
 # unused here; perfbench/tracer.py wraps tensoraction.mat_mul by name
 from .exactla import mat_mul  # noqa: F401
-from .superalgebra import pn_basis_with_duals
+from .superalgebra import pn_basis_with_duals, pn_generators
 
 
 class Token(NamedTuple):
@@ -210,7 +210,10 @@ class EndoOperator:
         return f"EndoOperator({self.spec}, {nnz} nonzero)"
 
 
-@lru_cache(maxsize=None)
+# One entry per n, each 2n^2 small column tables.  The whole test suite
+# uses six values of n and the benchmark workloads at most four, so 16
+# entries hold every working set.
+@lru_cache(maxsize=16)
 def _v_action_tables(n):
     """Per dual pair: (parity, columns of x_k, columns of 2 x_k^*).
 
@@ -244,7 +247,11 @@ def _bar(n, digit):
 # generator operators
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# One entry per (space, letter); a space with d strands has 3d - 2 letters.
+# The whole test suite builds 125 tables, the soundness workload 49 and
+# independence at most 31 (ten rank windows over blocks m <= 3), so 256
+# entries hold every working set while bounding a long-lived process.
+@lru_cache(maxsize=256)
 def _op_columns_cached(spec, kind, index):
     """Columns {in: [(out, int value), ...]} of one generator's image; every
     operator of a word is built from these tables."""
@@ -481,9 +488,14 @@ def g_action(x, spec, slots=None):
 
 
 def check_equivariance(op, spec=None):
-    """True iff op commutes with the action of every p(n) basis element."""
+    """True iff op commutes with the action of p(n).
+
+    It checks the 2n generators of `pn_generators` and the n diagonal E_ss:
+    the elements whose action commutes with op form a sub-superalgebra, and
+    these generate p(n), so commuting with them is commuting with all of it.
+    """
     spec = spec or op.spec
-    for pair in pn_basis_with_duals(spec.n):
+    for pair in pn_generators(spec.n, with_cartan=True):
         rho = g_action(pair.basis_element, spec)
         if op.compose(rho) != rho.compose(op):
             return False
@@ -505,9 +517,12 @@ def _weight(spec, t):
 def commutant_dimension(spec):
     """dim over Q of the space of operators commuting with the g-action (m=0).
 
-    An operator commuting with the diagonal Cartan-like elements is supported
-    on pairs of equal weight, which cuts the unknowns down before solving the
-    remaining exact linear system.
+    An operator commuting with the diagonal Cartan-like elements E_ss is
+    supported on pairs of equal weight, which cuts the unknowns down; the
+    remaining equations say that it commutes with the 2n generators of
+    `pn_generators`.  That is enough: the elements whose action commutes with
+    the operator form a sub-superalgebra, and the generators with the E_ss
+    generate p(n).
     """
     unknowns, rows = _commutant_equations(spec)
     echelon = Echelon()
@@ -516,7 +531,8 @@ def commutant_dimension(spec):
 
 def _commutant_equations(spec):
     """(number of unknowns, integer equation rows) of the commutant: one
-    row per entry of T rho - rho T, for every p(n) basis element rho."""
+    row per entry of T rho - rho T, for rho the action of each generator of
+    `pn_generators` (the E_ss are the weight blocks of the unknowns)."""
     spec.validate()
     if spec.m != 0:
         raise ValueError("commutant_dimension is defined for m = 0")
@@ -530,7 +546,7 @@ def _commutant_equations(spec):
                 unk[(t, u)] = len(unk)
     wt = {t: _weight(spec, t) for t in range(spec.dim)}
     rows = []
-    for pair in pn_basis_with_duals(spec.n):
+    for pair in pn_generators(spec.n):
         rho = g_action(pair.basis_element, spec)
         eqs = {}
         for b, col in rho.columns.items():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from periplectic import affine
 from periplectic.affine import (DotDiagram, PdElement, _cap_right_ends,
                                 _cup_right_ends, enumerate_regular,
                                 is_regular, multiply, normalize,
@@ -306,3 +307,30 @@ def test_daha_accepts_elements():
 def test_pbw_rank_small(d, max_degree, n, count):
     got_count, got_rank = pbw_rank_check(d, max_degree, n)
     assert got_count == count == got_rank
+
+
+# The longest d = 3 permutation, k dots spread over the strands, then
+# s1 s2 s1 s2: before blocked letters were memoized for one call, the letter
+# recursion made 1,346 / 93,125 / 516,025 calls at k = 6 / 12 / 14, about
+# 2.2 times more per added dot.  Memoized, the count grows like k^4.
+def test_blocked_letters_grow_polynomially_with_the_dots(monkeypatch):
+    calls = []
+    inner = affine._append_letter
+
+    def counted(*args):
+        calls.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(affine, "_append_letter", counted)
+    counts = {}
+    for k in (6, 9, 12):
+        word = ((S(1), S(2), S(1)) + tuple(Y(i % 3 + 1) for i in range(k))
+                + (S(1), S(2), S(1), S(2)))
+        calls.clear()
+        # past the normalize cache, so every letter is appended here
+        x = affine._normalize_cached.__wrapped__(word, 3)
+        counts[k] = len(calls)
+        assert x == normalize(word, 3)
+    assert counts[9] <= counts[6] * (9 / 6) ** 5
+    assert counts[12] <= counts[9] * (12 / 9) ** 5
+    assert counts[12] < 20_000

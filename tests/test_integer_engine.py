@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from periplectic import affine, brauer, documents
+from periplectic import affine, brauer, documents, tensoraction
 from periplectic.affine import (DahaElement, DotDiagram, PdElement,
                                 enumerate_regular, multiply, normalize,
                                 to_daha)
@@ -130,6 +130,9 @@ def test_walk_monomials_equal_validated_ones():
 def test_every_engine_cache_has_its_stated_bound():
     bounds = {affine._normalize_cached: 8192, affine._compose: 2048,
               affine._cup_right_ends: 2048, affine._cap_right_ends: 2048,
-              brauer.canonical_word: 2048}
+              brauer.canonical_word: 2048, brauer.enumerate_diagrams: 8,
+              tensoraction._op_columns_cached: 256,
+              tensoraction._v_action_tables: 16,
+              tensoraction._evaluate_raw: 512}
     for fn, bound in bounds.items():
         assert fn.cache_info().maxsize == bound, fn.__name__

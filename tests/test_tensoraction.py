@@ -226,6 +226,6 @@ def test_g_action_E11_doubles_e1_tensor_e1():
 
 # at n >= d the commutant is spanned by the (2d - 1)!! Brauer diagrams
 @pytest.mark.parametrize("n,d,want", [(3, 1, 1), (3, 2, 3), (1, 1, 1),
-                                      (3, 3, 15)])
+                                      (3, 3, 15), (4, 3, 15)])
 def test_commutant_dimension(n, d, want):
     assert commutant_dimension(TensorSpaceSpec(n, 0, d)) == want
