@@ -15,16 +15,19 @@ The appended-dot mechanics are purely pictorial: a dot entering at an illegal
 endpoint walks along its strand through the canonical letter word of the
 diagram (a crossing lets it pass to the other index, a cup or cap makes it
 turn around), and every crossing/turn spawns correction terms with one dot
-fewer.  Dotless letter words are composed exactly through the faithful
-diagram-algebra oracle; the walk itself never consults the representation, so
-the two routes stay independent and can be compared in tests.
+fewer.  Dotless letter words are composed by `brauer.stack_word`, which
+stacks the letters and reads the sign off the paths.  Neither the walk nor
+the composition evaluates a representation, so the tensor-space images check
+the engine from outside, in tests and in `verify`.
 """
 
 from functools import lru_cache
 from itertools import product
 
-from .brauer import (ADElement, BrauerDiagram, canonical_word, diagram_of_word,
-                     enumerate_diagrams, jm_element)
+from .brauer import (ADElement, BrauerDiagram, canonical_word,
+                     enumerate_diagrams, jm_element, stack_word)
+# unused here; perfbench/tracer.py wraps affine.diagram_of_word by name
+from .brauer import diagram_of_word  # noqa: F401
 from .brauer import multiply as diagram_multiply
 from .exactla import Combination, Echelon
 from .kernels import combine_scaled
@@ -196,13 +199,16 @@ def word_expansion(u):
 
 # Its words are a diagram's canonical word with one letter appended, or with
 # one S letter replaced by E or dropped (a dot walk's corrections): at most
-# 105 * 6 + 1,013 = 1,643 words at d = 4 and 139 at d = 3, and products stop
-# at d = 4, so 2048 entries hold all of them.  6,000 random d = 4 words of
-# up to 14 letters filled 877.
+# 105 * 6 + 1,013 = 1,643 words at d = 4 and 139 at d = 3, so 2048 entries
+# hold every working set up to four strands (6,000 random d = 4 words of up
+# to 14 letters filled 880).  Past four strands they do not: 3,000 random
+# words of up to 10 letters and 3 dots make 4,073 distinct words at d = 5
+# and 11,488 at d = 6, and took 0.75 and 0.94 s bounded against 0.67 and
+# 0.81 s unbounded, each miss costing one stacking (about 20 us at d = 5).
 @lru_cache(maxsize=2048)
 def _compose(word, d):
     """Dotless letter word -> exact diagram combination (at most one term)."""
-    return diagram_of_word(list(word), d)
+    return stack_word(word, d)
 
 
 def _journey(word, d, pos, idx, moving_up):

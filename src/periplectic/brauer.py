@@ -4,46 +4,34 @@ A diagram on d strands is a perfect matching on the 2d vertices
 {1..d} (top row) and {-1..-d} (bottom row, printed 1bar..dbar).  The algebra
 basis element attached to a diagram g is, by definition, the image under the
 m = 0 representation of a fixed canonical generator word for g; all signs
-are induced by that normalization, and the matrices are the single source of
-truth.  A product is evaluated through the faithful representation at n = d
-and read back in the diagram basis at one coordinate per diagram, its
-witness: there the diagram's own image is +-1 and every other diagram's
-image is 0.
+are induced by that normalization.
+
+The product of two diagrams is +-1 times one diagram, or 0, and
+`stack_word` reads it off the stacked picture of a dotless word without
+evaluating any representation: the paths' ends give the diagram, a closed
+loop gives 0 (sdim V = 0), and the sign is a product of the letters' local
+signs along a parity labelling of the paths.  These are signed pictures as
+in Kujawa-Tharp's marked Brauer category (arXiv:1411.6929), but the local
+signs are read off the representation's conventions, not derived from
+that category.
+`diagram_of_word` computes the same through the faithful representation at
+n = d, read back at one coordinate per diagram, its witness, where the
+diagram's own image is +-1 and every other diagram's image is 0; it is the
+oracle the stacking rule is tested against.
 
 Words multiply by stacking: in a product x*y the x-word sits on top.  Under
 the right-action convention the matrix of x*y is Mat(y) . Mat(x).
 """
 
 from functools import lru_cache
+from itertools import islice
 
 from . import tensoraction
 from .exactla import Combination
 # unused here; perfbench/tracer.py wraps brauer.mat_mul by name
 from .exactla import mat_mul  # noqa: F401
-from .tensoraction import E, S, TensorSpaceSpec, evaluate_word
-
-
-# A product is evaluated on the whole n = d space, of dimension (2d)^d.  At
-# d = 5 one two-letter word (e1*s2) took 2.7 s and 202 MB peak (2-core host,
-# Python 3.11), and the word-image cache keeps up to 512 such tables, so
-# larger products fail at once instead of exhausting memory.
-MAX_PRODUCT_D = 4
-
-
-class TooManyStrands(ValueError):
-    """A diagram product on more strands than MAX_PRODUCT_D."""
-
-
-def _check_product_size(d):
-    if d > MAX_PRODUCT_D:
-        raise TooManyStrands(
-            f"diagram products are limited to d <= {MAX_PRODUCT_D} strands "
-            f"(got d={d}): each is evaluated on a space of dimension (2d)^d")
-
-
-def _vkey(v):
-    # top vertices first (ascending), then bottom vertices (ascending)
-    return (0, v) if v > 0 else (1, -v)
+from .kernels import combine_scaled
+from .tensoraction import E, S, TensorSpaceSpec, check_word, evaluate_word
 
 
 class BrauerDiagram:
@@ -52,20 +40,22 @@ class BrauerDiagram:
     __slots__ = ("d", "matching", "_hash")
 
     def __init__(self, d, matching):
-        pairs = []
-        seen = set()
-        for p in matching:
-            a, b = p
-            pairs.append(tuple(sorted((a, b), key=_vkey)))
-            seen.update(p)
-        pairs.sort(key=lambda p: (_vkey(p[0]), _vkey(p[1])))
-        expected = set(range(1, d + 1)) | set(range(-d, 0))
-        if seen != expected or len(pairs) != d:
+        # the vertex order: top 1..d first, then bottom 1..d, keyed as
+        # 1..2d so that one sort of plain tuples puts the pairs in order
+        keyed = []
+        for a, b in matching:
+            ka = a if a > 0 else d - a
+            kb = b if b > 0 else d - b
+            keyed.append((ka, a, b) if ka < kb else (kb, b, a))
+        keyed.sort()
+        pairs = tuple((a, b) for _k, a, b in keyed)
+        seen = set().union(*pairs)
+        if len(pairs) != d or seen != set(range(-d, d + 1)) - {0}:
             raise ValueError(f"not a perfect matching on {2*d} vertices: {matching}")
         self.d = d
-        self.matching = tuple(pairs)
+        self.matching = pairs
         # diagrams key every term and cache; hash the matching once
-        self._hash = hash((d, self.matching))
+        self._hash = hash((d, pairs))
 
     # -- structure ---------------------------------------------------------
 
@@ -213,31 +203,46 @@ def marked_pair(i, j, d, kind="marked"):
     return chain + mid + chain[::-1]
 
 
-def _permutation_word(perm, d):
-    """Adjacent-swap word whose stacked diagram realizes top i -> bottom perm[i].
+def _swaps(perm, d):
+    """The positions of the adjacent swaps that sort top i -> bottom perm[i].
 
-    Deterministic bubble sort of the one-line form; swapping the entries at
-    positions a, a+1 appends S(a).
+    Deterministic bubble sort of the one-line form, always swapping the
+    first out-of-order pair; swapping the entries at positions a, a+1
+    yields a, the letter S(a) of the word.  The entries before that pair
+    are in order, and a swap can put only the pair just before it out of
+    order, so the scan steps back one place instead of restarting:
+    d + 2 * inversions steps.
     """
     p = [perm[i] for i in range(1, d + 1)]
-    word = []
-    while True:
-        swapped = False
-        for a in range(d - 1):
-            if p[a] > p[a + 1]:
-                p[a], p[a + 1] = p[a + 1], p[a]
-                word.append(S(a + 1))
-                swapped = True
-                break
-        if not swapped:
-            break
-    return word
+    a = 0
+    while a < d - 1:
+        if p[a] > p[a + 1]:
+            p[a], p[a + 1] = p[a + 1], p[a]
+            yield a + 1
+            a = max(a - 1, 0)
+        else:
+            a += 1
+
+
+def _cups_and_permutation(g):
+    """The cups of g in increasing order, and the permutation that
+    `canonical_word` realizes below their marked pairs."""
+    cups = sorted(g.cups())
+    perm = {}
+    for (a, b), (c, e) in zip(cups, sorted(g.caps())):
+        perm[a] = c
+        perm[b] = e
+    for (t, b) in g.strands():
+        perm[t] = b
+    return cups, perm
 
 
 # The one canonical-word cache.  Its 2048 entries hold every diagram on
-# d <= 5 strands (1 + 3 + 15 + 105 + 945 = 1,069).  Products stop at
-# MAX_PRODUCT_D, so only words evaluated directly reach larger d, and the
-# bound keeps those from growing the cache without limit.
+# d <= 5 strands (1 + 3 + 15 + 105 + 945 = 1,069).  Products reach any d:
+# the whole test suite asks for 1,486 diagrams (all of d = 5, 300 of
+# d = 6), and 3,000 random d = 6 words of up to 10 letters and 3 dots
+# reach 2,019; the bound evicts what a larger working set needs again
+# rather than grow without limit.
 @lru_cache(maxsize=2048)
 def canonical_word(g):
     """A fixed S/E generator word for the diagram g, as a tuple of tokens.
@@ -247,27 +252,148 @@ def canonical_word(g):
     with matched caps) over a permutation word, processing cups in
     increasing order of left endpoint.
     """
-    d = g.d
-    cups = sorted(g.cups())
-    caps = sorted(g.caps())
+    cups, perm = _cups_and_permutation(g)
     word = []
     for (a, b) in cups:
-        word.extend(marked_pair(a, b, d, "marked"))
-    perm = {}
-    for (a, b), (c, e) in zip(cups, caps):
-        perm[a] = c
-        perm[b] = e
-    for (t, b) in g.strands():
-        perm[t] = b
-    word.extend(_permutation_word(perm, d))
+        word.extend(marked_pair(a, b, g.d, "marked"))
+    word.extend(S(a) for a in _swaps(perm, g.d))
     return tuple(word)
+
+
+def canonical_length(g, limit):
+    """len(canonical_word(g)) if it is at most `limit`, else a number above
+    `limit`: counted without building the word, in O(d + limit) steps."""
+    cups, perm = _cups_and_permutation(g)
+    n = sum(2 * (b - a) - 1 for a, b in cups)
+    if n > limit:
+        return n
+    return n + sum(1 for _a in islice(_swaps(perm, g.d), limit - n + 1))
+
+
+# ---------------------------------------------------------------------------
+# products by stacking
+# ---------------------------------------------------------------------------
+
+def _end(v, d):
+    """The diagram vertex of a path end: -p is top end p, -(d + p) bottom
+    end p."""
+    return -v if v >= -d else d + v
+
+
+def _stacked(word, d):
+    """(pairs, sign) for a dotless S/E word, or None when it closes a loop:
+    the pairs of its diagram r, and the sign derived below.
+
+    Letter k has four vertices: 4k and 4k + 1 just above it at positions a
+    and a + 1, 4k + 2 and 4k + 3 just below.  A strand segment joins each
+    of them to the nearest vertex or end at its position (`link`); the
+    letter joins them in pairs (`across`), a crossing from above to below,
+    a bend above to above (its cap) and below to below (its cup).  A
+    position no letter touches is a through strand, so the path walk grows
+    with the letters; only listing r's pairs takes O(d).
+
+    Each path starts at its first end, top ends before bottom ends and each
+    row by position, with parity 0, and its parity flips at every cap or
+    cup it passes.  These are the parities of `_witnesses`' digits, where
+    an edge's second end is barred exactly when the edge is a cup or a cap,
+    so `sign` is the word's value at r's witness coordinate: S(a) gives -1
+    when both labels just above it are odd, E(a) when the label just below
+    it at position a is odd.  A vertex no path reaches lies on a loop.
+    """
+    link, below, across = {}, {}, []
+    for k, (kind, a) in enumerate(word):
+        v = 4 * k
+        for slot, p in ((v, a), (v + 1, a + 1)):
+            up = below.get(p, -p)
+            link[slot] = up
+            link[up] = slot
+        below[a] = v + 2
+        below[a + 1] = v + 3
+        across += ((v + 3, v + 2, v + 1, v) if kind == "S"
+                   else (v + 1, v, v + 3, v + 2))
+    for p, v in below.items():
+        link[v] = -(d + p)
+        link[-(d + p)] = v
+    parity = [-1] * len(across)
+    touched = sorted(below)
+    ends = {}   # first end -> second end, as diagram vertices
+    done = set()
+    for start in [-p for p in touched] + [-(d + p) for p in touched]:
+        if start in done:
+            continue
+        v, bit = link[start], 0
+        while v >= 0:
+            parity[v] = bit
+            bit ^= word[v >> 2].kind == "E"
+            v = across[v]
+            parity[v] = bit
+            v = link[v]
+        done.add(v)
+        ends[_end(start, d)] = _end(v, d)
+    if -1 in parity:
+        return None
+    sign = 1
+    for k, (kind, _a) in enumerate(word):
+        v = 4 * k
+        if parity[v] & parity[v + 1] if kind == "S" else parity[v + 2]:
+            sign = -sign
+    matching = [(p, -p) for p in range(1, d + 1) if p not in below]
+    matching += ends.items()
+    return matching, sign
+
+
+# Pairs each entry of `canonical_word` with its sign, under the same bound
+# and with the same working sets.  It hands back the diagram it was first
+# called with, so that equal products are one object while cached: the
+# engine's dict lookups then match by identity instead of calling __eq__,
+# which doubled its calls in the rewrite workload without this.
+@lru_cache(maxsize=2048)
+def _canonical(g):
+    """(g, the sign of canonical_word(g) at g's witness coordinate)."""
+    return g, _stacked(canonical_word(g), g.d)[1]
+
+
+def stack_word(word, d):
+    """Resolve a dotless S/E word into the diagram algebra by stacking.
+
+    The word and the canonical word of its diagram r take +-1 at r's
+    witness coordinate, and the word is that ratio times r's basis element,
+    so r's coefficient is the product of the two signs.
+    """
+    check_word(word, d)
+    for tok in word:
+        if tok.kind not in ("S", "E"):
+            raise ValueError(f"stack_word takes S and E letters, got {tok}")
+    stacked = _stacked(word, d)
+    if stacked is None:
+        return ADElement.zero(d)
+    pairs, sign = stacked
+    r, canonical_sign = _canonical(BrauerDiagram(d, pairs))
+    return ADElement(d, {r: sign * canonical_sign})
+
+
+def multiply(x, y):
+    """Product x*y, bilinear over pairs of diagrams: each pair (g, h) is
+    the stacked word canonical_word(g) + canonical_word(h), g on top."""
+    if x.d != y.d:
+        raise ValueError("mixed strand counts")
+    d = x.d
+    acc = {}
+    for g, cg in x.terms.items():
+        wg = canonical_word(g)
+        for h, ch in y.terms.items():
+            combine_scaled(acc, stack_word(wg + canonical_word(h), d).terms,
+                           cg * ch)
+    return ADElement(d, acc)
 
 
 # ---------------------------------------------------------------------------
 # representation oracle
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=MAX_PRODUCT_D)
+# One entry per strand count up to `diagram_of_word`'s four, each (2d - 1)!!
+# witnesses: 105 at d = 4.
+@lru_cache(maxsize=4)
 def _witnesses(d):
     """(g, input, output, value) for every diagram g on d strands.
 
@@ -315,25 +441,13 @@ def psi_image(x, n):
 
 
 def diagram_of_word(word, d):
-    """Resolve a dotless S/E word into the diagram algebra (exactly)."""
-    _check_product_size(d)
+    """Resolve a dotless S/E word through its image at n = d, read at the
+    witnesses: the oracle of `stack_word`, on up to four strands."""
+    if d > 4:
+        raise ValueError(f"diagram_of_word evaluates on (2d)^d dimensions; "
+                         f"d={d} is above its 4")
     cols = evaluate_word(word, TensorSpaceSpec(d, 0, d)).columns
     return _read_diagrams(d, cols.get)
-
-
-def multiply(x, y):
-    """Product x*y via the faithful representation at n = d.
-
-    Right-action convention: the matrix of x*y is Mat(y) . Mat(x), so its
-    column c is Mat(y) applied to column c of Mat(x).
-    """
-    if x.d != y.d:
-        raise ValueError("mixed strand counts")
-    d = x.d
-    _check_product_size(d)
-    mx = psi_image(x, d)
-    my = psi_image(y, d)
-    return _read_diagrams(d, lambda c: my.apply_dict(mx.columns.get(c, {})))
 
 
 def jm_element(j, d):

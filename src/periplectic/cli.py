@@ -69,9 +69,9 @@ def main():
     """Exact computations in an affine diagram algebra of periplectic type."""
 
 
-# normalize's time and output grow with d even for a dot word: at d = 100,000
-# y1^5*y2^4, with the 9 dot letters allowed beyond d = 4, took 1.8 s and
-# printed 1.9 MB, and y1 at d = 3,000,000 took 47 s
+# normalize's and mul's time and output grow with d even for a dot word: at
+# d = 100,000 y1^5*y2^4, with the 9 dot letters allowed beyond d = 4, took
+# 1.8 s and printed 1.9 MB, and y1 at d = 3,000,000 took 47 s
 _NORMALIZE_MAX_D = 100_000
 
 
@@ -91,12 +91,60 @@ def normalize(d, as_json, expression):
     except wordparse.WordParseError as exc:
         raise click.ClickException(str(exc))
     acc = affine.PdElement.zero(d)
-    try:
-        for coeff, word in parsed:
-            acc = acc.add(affine.normalize(list(word), d).scaled(coeff))
-    except brauer.TooManyStrands as exc:
-        raise click.ClickException(str(exc))
+    for coeff, word in parsed:
+        acc = acc.add(affine.normalize(list(word), d).scaled(coeff))
     _echo_doc(documents.to_document(acc), as_json)
+
+
+def _check_product_work(xa, xb, algebra):
+    """Refuse a product before it starts if it weighs more than `normalize`
+    admits for one term.
+
+    d is bounded as in `normalize`.  `mul` appends the word of each term v
+    of the second document to each term u of the first, a normal form, so
+    each pair is weighed as `normalize` weighs that word after u: it may
+    carry at most the dots a term may, and v's s and e letters weigh
+    `wordparse.letter_weight` of the dots before them and of d.  u's own
+    letters are stacked again, not rewritten, so each weighs as a letter
+    with no dots before it.  Every pair builds a term on d strands, so it
+    weighs at least one letter, and the pairs' weights add up to at most
+    MAX_LETTER_WORK.  Word lengths are counted without building the words,
+    and each count stops past what the bound admits.
+    """
+    d = xa.d
+    if d > _NORMALIZE_MAX_D:
+        raise click.ClickException(
+            f"d={d} is above the bound {_NORMALIZE_MAX_D}")
+    bound = wordparse.MAX_LETTER_WORK
+    floor = wordparse.letter_weight(0, d)
+    refusal = click.ClickException(
+        f"the product's term pairs weigh more than {bound}, the bound at "
+        f"d={d} (a pair weighs as normalize weighs its word)")
+    if len(xa.terms) * len(xb.terms) * floor > bound:
+        raise refusal
+    limit = bound // floor
+
+    def shape(t):
+        # (dot letters before the diagram's word, all dot letters, letters)
+        if algebra == "brauer":
+            return 0, 0, brauer.canonical_length(t, limit)
+        lead = sum(t.top_dots)
+        return (lead, lead + sum(t.bottom_dots),
+                brauer.canonical_length(t.diagram, limit))
+
+    max_dots = wordparse.max_dots(d)
+    ys = [shape(v) for v in xb.terms]
+    work = 0
+    for _lead, dots_u, len_u in map(shape, xa.terms):
+        for lead_v, dots_v, len_v in ys:
+            if dots_u + dots_v > max_dots:
+                raise click.ClickException(
+                    f"a pair of terms has more than {max_dots} dot letters, "
+                    f"the bound at d={d}")
+            work += max(floor, len_u * floor
+                        + len_v * wordparse.letter_weight(dots_u + lead_v, d))
+            if work > bound:
+                raise refusal
 
 
 @main.command()
@@ -121,13 +169,11 @@ def mul(d, algebra, as_json, doc_a, doc_b):
     if raw_a["d"] != raw_b["d"]:
         raise click.ClickException(
             f"strand counts differ: {raw_a['d']} vs {raw_b['d']}")
-    try:
-        if algebra == "affine":
-            prod = affine.multiply(xa, xb)
-        else:
-            prod = brauer.multiply(xa, xb)
-    except brauer.TooManyStrands as exc:
-        raise click.ClickException(str(exc))
+    _check_product_work(xa, xb, algebra)
+    if algebra == "affine":
+        prod = affine.multiply(xa, xb)
+    else:
+        prod = brauer.multiply(xa, xb)
     _echo_doc(documents.to_document(prod), as_json)
 
 

@@ -63,10 +63,37 @@ LETTER_GROWTH = ((1, 1), (1, 1), (7, 5), (2, 1))
 MAX_LETTER_WORK = 2 ** 21
 
 
+def _strand_factor(d):
+    """How many times more an s or e letter weighs on d strands than on 4.
+
+    Past four strands a letter also costs more the more strands there are:
+    every diagram it reaches is built on d strands, and the stacked word of
+    its product, the diagram's canonical word plus the letter, grows to
+    about d^2 / 4 letters.  Fitted, with the dot weights above unchanged,
+    to the costliest families measured past four strands (seeded random s
+    words; s1*s2*...*s(d-1) repeated; a bend, dots on its right end, then s
+    and e letters; dots spread over the strands, then s and e letters;
+    2-core host, CPython 3.11), taking each at the most letters the bound
+    admits after 0 to 9 dots: the slowest took 3.3 s (random s words at
+    d = 30, 3,360 letters) and 3.4 s (the repeated chain at d = 100, 910
+    letters), and none took more than 2.8 s at d = 300, 1,000, 3,000,
+    10,000 or 100,000, where it admits 7 letters without dots and 1 after
+    one dot.  The bound refuses
+    s1*s2*s3*s4*s5*e1*e3*s2*s4 at d = 100,000, which took 1.8 to 2.5 s
+    unbounded, and e1*y2*y1^3*s2*e3*s1*s2 there, which took 19.5 s.
+    """
+    return max(1, 3 * (min(d, 300) - 4), d // 3)
+
+
+def max_dots(d):
+    """The dot letters one term may carry on d strands."""
+    return MAX_DOTS[min(d, len(MAX_DOTS)) - 1]
+
+
 def letter_weight(dots, d):
     """The weight of an s or e letter after `dots` dot letters of its term."""
     num, den = LETTER_GROWTH[min(d, len(LETTER_GROWTH)) - 1]
-    return (dots + 2) ** 3 * num ** dots // den ** dots
+    return (dots + 2) ** 3 * num ** dots // den ** dots * _strand_factor(d)
 
 
 def _lex(src):
@@ -97,7 +124,7 @@ class _Parser:
         self.d = d
         self.src = src
         self.end = len(src)
-        self.max_dots = MAX_DOTS[min(d, len(MAX_DOTS)) - 1]
+        self.max_dots = max_dots(d)
         self.dots = 0
         self.work = 0
 
@@ -200,7 +227,8 @@ class _Parser:
                 raise WordParseError(
                     f"a term's s and e letters weigh more than "
                     f"{MAX_LETTER_WORK}, the bound at d={self.d} (a letter "
-                    f"weighs more the more dot letters precede it)", at)
+                    f"weighs more the more dot letters precede it and the "
+                    f"more strands there are)", at)
         return [_MAKE[letter](idx)] * power
 
 

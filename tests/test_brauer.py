@@ -132,7 +132,7 @@ def test_stacking_agrees_with_the_representation():
 
 @pytest.mark.parametrize("d,sample", [(4, None), (5, None), (6, 300)])
 def test_canonical_words_stack_to_their_diagram(d, sample):
-    # beyond MAX_PRODUCT_D, where diagram_of_word refuses the product
+    # beyond d = 4, where diagram_of_word refuses the word
     diagrams = enumerate_diagrams(d)
     if sample:
         diagrams = random.Random(d).sample(diagrams, sample)

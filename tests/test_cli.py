@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from periplectic.cli import main
 from periplectic.documents import dumps, to_document
-from periplectic.affine import normalize
+from periplectic.affine import DotDiagram, PdElement, normalize
 from periplectic.brauer import ADElement, BrauerDiagram
 from periplectic.tensoraction import E, S, Y
 from periplectic.wordparse import MAX_DOTS
@@ -112,6 +112,59 @@ def test_mul_brauer_generators(runner, tmp_path):
     assert doc["terms"][0]["coeff"] == "-1"
 
 
+def test_mul_brauer_at_five_strands(runner, tmp_path):
+    from periplectic.brauer import psi_image
+    from periplectic.documents import from_document, loads
+    x = ADElement(5, {BrauerDiagram.eps_generator(5, 2): 3,
+                      BrauerDiagram.s_generator(5, 4): -1})
+    y = ADElement(5, {BrauerDiagram.marked(5, 1, 4): 2,
+                      BrauerDiagram.transposition(5, 3, 5): 1})
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(dumps(to_document(x)))
+    pb.write_text(dumps(to_document(y)))
+    res = invoke(runner, "mul", "--algebra", "brauer", "--d", "5", "--json",
+                 str(pa), str(pb))
+    assert res.exit_code == 0
+    product = from_document(loads(res.output))
+    assert len(product.terms) == 4
+    # the image of x*y is Mat(y) . Mat(x), here on V^(x)5 at n = 2
+    assert psi_image(product, 2) == psi_image(y, 2).compose(psi_image(x, 2))
+
+
+@pytest.mark.parametrize("rev_first", [False, True])
+@pytest.mark.parametrize("algebra", ["brauer", "affine"])
+def test_mul_refuses_a_long_canonical_word_at_once(runner, tmp_path, algebra,
+                                                   rev_first):
+    # the reversal on 10,000 strands has d(d-1)/2 crossings in its word
+    d = 10_000
+    rev = ADElement.from_diagram(
+        BrauerDiagram(d, [(i, -(d + 1 - i)) for i in range(1, d + 1)]))
+    one = ADElement.one(d)
+    if algebra == "affine":
+        rev, one = (PdElement(d, {DotDiagram.bare(d, g): c
+                                  for g, c in x.terms.items()})
+                    for x in (rev, one))
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(dumps(to_document(rev)))
+    pb.write_text(dumps(to_document(one)))
+    start = time.perf_counter()
+    docs = (pa, pb) if rev_first else (pb, pa)
+    res = invoke(runner, "mul", "--algebra", algebra, *map(str, docs))
+    assert time.perf_counter() - start < 5
+    assert res.exit_code != 0
+    assert (f"weigh more than {MAX_LETTER_WORK}, the bound at d={d}"
+            in res.output)
+
+
+def test_mul_refuses_a_pair_with_too_many_dots(runner, tmp_path):
+    p = tmp_path / "y1.json"
+    p.write_text(dumps(to_document(normalize([Y(1)] * 41, 2))))
+    res = invoke(runner, "mul", str(p), str(p))
+    assert res.exit_code != 0
+    assert (f"more than {MAX_DOTS[1]} dot letters, the bound at d=2"
+            in res.output)
+
+
 def test_mul_affine_dots_add(runner, tmp_path):
     y1 = to_document(normalize([Y(1)], 2))
     p = tmp_path / "y1.json"
@@ -192,12 +245,27 @@ def test_normalize_pretty_output_roundtrips(runner):
     assert x == normalize([S(1), Y(1)], 2)
 
 
-def test_normalize_refuses_diagram_products_beyond_the_limit(runner):
+def test_normalize_resolves_diagram_products_past_four_strands(runner):
+    from periplectic.affine import tensor_image
+    from periplectic.documents import from_document, loads
+    from periplectic.tensoraction import TensorSpaceSpec, evaluate_word
     start = time.perf_counter()
     res = invoke(runner, "normalize", "--d", "5", "e1*s2")
     assert time.perf_counter() - start < 5
+    assert res.exit_code == 0
+    spec = TensorSpaceSpec(2, 0, 5)
+    assert (tensor_image(from_document(loads(res.output)), spec)
+            == evaluate_word([E(1), S(2)], spec))
+
+
+def test_normalize_refuses_a_long_word_on_many_strands_at_once(runner):
+    start = time.perf_counter()
+    res = invoke(runner, "normalize", "--d", "100000",
+                 "s1*s2*s3*s4*s5*e1*e3*s2*s4")
+    assert time.perf_counter() - start < 5
     assert res.exit_code != 0
-    assert "d <= 4" in res.output
+    assert (f"weigh more than {MAX_LETTER_WORK}, the bound at d=100000"
+            in res.output)
 
 
 def test_normalize_many_dots_finishes(runner):
