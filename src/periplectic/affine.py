@@ -11,14 +11,14 @@ with the left (top) dot block first.  These monomials form a linear basis;
 `normalize` rewrites an arbitrary generator word into that basis by appending
 one token at a time to an accumulator that is already in normal form.
 
-The appended-dot mechanics are purely pictorial: a dot entering at an illegal
-endpoint walks along its strand through the canonical letter word of the
-diagram (a crossing lets it pass to the other index, a cup or cap makes it
-turn around), and every crossing/turn spawns correction terms with one dot
-fewer.  Dotless letter words are composed by `brauer.stack_word`, which
-stacks the letters and reads the sign off the paths.  Neither the walk nor
-the composition evaluates a representation, so the tensor-space images check
-the engine from outside, in tests and in `verify`.
+The appended-dot mechanics are purely pictorial: an illegal dot, or one that
+blocks a new cup, walks along its strand through the diagram's canonical
+letter word, up or down in one loop (`_journey`).  A crossing lets it pass to
+the other index, a cup or cap turns it around, and each spawns correction
+terms with one dot fewer.  Dotless letter words are composed by
+`brauer.stack_word`, which stacks the letters and reads the sign off the
+paths.  Neither step evaluates a representation, so the tensor-space images
+check the engine from outside, in tests and in `verify`.
 """
 
 from functools import lru_cache
@@ -104,14 +104,25 @@ def _cap_right_ends(g):
     return frozenset(r for _l, r in g.caps())
 
 
+def _illegal_dot(top, g, bottom):
+    """The first illegal dot of y^top . g . y^bottom as (side, position), or
+    None: bottom dots off every cap's right end come first, then top dots on
+    a cup's right end."""
+    cap_r = _cap_right_ends(g)
+    for t, c in enumerate(bottom, 1):
+        if c and t not in cap_r:
+            return "bottom", t
+    cup_r = _cup_right_ends(g)
+    for k, c in enumerate(top, 1):
+        if c and k in cup_r:
+            return "top", k
+    return None
+
+
 def is_regular(x):
     """True iff no top dot sits on a cup's right end and every bottom dot
     sits on a cap's right end."""
-    cup_r = _cup_right_ends(x.diagram)
-    cap_r = _cap_right_ends(x.diagram)
-    if any(x.top_dots[k - 1] for k in cup_r):
-        return False
-    return all(t in cap_r for t in range(1, x.d + 1) if x.bottom_dots[t - 1])
+    return _illegal_dot(x.top_dots, x.diagram, x.bottom_dots) is None
 
 
 class PdElement(Combination):
@@ -218,51 +229,29 @@ def _journey(word, d, pos, idx, moving_up):
     idx.  A crossing passes it through (switching index), a cup or cap slides
     it to the other end and turns it around; each such event appends
     lower-degree corrections (sign, replacement word) where the dot is gone
-    and at most one letter changed.  Returns (("top"|"bottom", index), corr)
-    for the surviving full-degree term.
+    and at most one letter changed; walking down flips the signs of the
+    replace and bend terms, not the drop's.  Returns
+    (("top"|"bottom", index), corr) for the surviving full-degree term.
     """
     corr = []
-    steps = 0
-    while True:
-        steps += 1
-        if steps > 4 * (len(word) + 2) * (d + 2):   # pragma: no cover
-            raise AssertionError("dot walk failed to terminate")
-        if moving_up:
-            if pos == 0:
-                return ("top", idx), corr
-            letter = word[pos - 1]
-            b = letter.index
-            if idx not in (b, b + 1):
-                pos -= 1
-            elif letter.kind == "S":
-                repl = word[:pos - 1] + (E(b),) + word[pos:]
-                drop = word[:pos - 1] + word[pos:]
-                corr.append((1, repl))
-                corr.append((-1 if idx == b else 1, drop))
-                idx = b + 1 if idx == b else b
-                pos -= 1
-            else:
-                corr.append((1 if idx == b else -1, word))
-                idx = b + 1 if idx == b else b
-                moving_up = False
+    for _ in range(4 * (len(word) + 2) * (d + 2)):
+        step = -1 if moving_up else 1
+        at = pos - 1 if moving_up else pos
+        if not 0 <= at < len(word):
+            return ("top" if moving_up else "bottom", idx), corr
+        b = word[at].index
+        if idx not in (b, b + 1):
+            pos += step
+            continue
+        if word[at].kind == "S":
+            corr.append((-step, word[:at] + (E(b),) + word[at + 1:]))
+            corr.append((-1 if idx == b else 1, word[:at] + word[at + 1:]))
+            pos += step
         else:
-            if pos == len(word):
-                return ("bottom", idx), corr
-            letter = word[pos]
-            b = letter.index
-            if idx not in (b, b + 1):
-                pos += 1
-            elif letter.kind == "S":
-                repl = word[:pos] + (E(b),) + word[pos + 1:]
-                drop = word[:pos] + word[pos + 1:]
-                corr.append((-1, repl))
-                corr.append((-1 if idx == b else 1, drop))
-                idx = b + 1 if idx == b else b
-                pos += 1
-            else:
-                corr.append((-1 if idx == b else 1, word))
-                idx = b + 1 if idx == b else b
-                moving_up = True
+            corr.append((-step if idx == b else step, word))
+            moving_up = not moving_up
+        idx = b + 1 if idx == b else b
+    raise AssertionError("dot walk failed to terminate")   # pragma: no cover
 
 
 def _bump(dots, t, delta=1):
@@ -270,12 +259,22 @@ def _bump(dots, t, delta=1):
     return dots[:t - 1] + (dots[t - 1] + delta,) + dots[t:]
 
 
-def _emit(out, key, coeff):
-    val = out.get(key, 0) + coeff
-    if val:
-        out[key] = val
-    elif key in out:
-        del out[key]
+def _walk_dot(d, top, g, bottom, side, t):
+    """Take one dot off position t of the side row of y^top . g . y^bottom
+    and walk it through canonical_word(g).  Returns the terms (top, g,
+    bottom, coeff) it leaves, not yet regular, the landing term last."""
+    word = canonical_word(g)
+    if side == "bottom":
+        bottom = _bump(bottom, t, -1)
+        (side, land), corr = _journey(word, d, len(word), t, True)
+    else:
+        top = _bump(top, t, -1)
+        (side, land), corr = _journey(word, d, 0, t, False)
+        assert side == "top", "a cup right end must walk back to the top row"
+    landing = ((_bump(top, land), g, bottom, 1) if side == "top"
+               else (top, g, _bump(bottom, land), 1))
+    return [(top, g2, bottom, sgn * c2) for sgn, w2 in corr
+            for g2, c2 in _compose(w2, d).terms.items()] + [landing]
 
 
 def _regularize(d, top, g, bottom, coeff, out, memo):
@@ -298,39 +297,16 @@ def _walk(d, top, g, bottom, memo):
     """y^top . g . y^bottom as regular monomials, {monomial: coefficient}.
 
     top/bottom are dot vectors, d-tuples of counts by position, and may hold
-    illegal placements; each illegal power is walked along its strand, one
-    power at a time, until every dot rests at a legal endpoint.
+    illegal placements; the first illegal dot is walked along its strand and
+    every term it leaves is regularized in turn.
     """
+    bad = _illegal_dot(top, g, bottom)
+    if bad is None:
+        return {DotDiagram._trusted(d, g, top, bottom): 1}
     out = {}
-    cap_r = _cap_right_ends(g)
-    bad_bottom = [t for t, c in enumerate(bottom, 1) if c and t not in cap_r]
-    if bad_bottom:
-        t = bad_bottom[0]
-        rest = _bump(bottom, t, -1)
-        word = canonical_word(g)
-        (side, land), corr = _journey(word, d, len(word), t, True)
-        for sgn, w2 in corr:
-            for g2, c2 in _compose(w2, d).terms.items():
-                _regularize(d, top, g2, rest, sgn * c2, out, memo)
-        if side == "top":
-            _regularize(d, _bump(top, land), g, rest, 1, out, memo)
-        else:
-            _regularize(d, top, g, _bump(rest, land), 1, out, memo)
-        return out
-    cup_r = _cup_right_ends(g)
-    bad_top = [k for k, c in enumerate(top, 1) if c and k in cup_r]
-    if bad_top:
-        k = bad_top[0]
-        rest = _bump(top, k, -1)
-        word = canonical_word(g)
-        (side, land), corr = _journey(word, d, 0, k, False)
-        for sgn, w2 in corr:
-            for g2, c2 in _compose(w2, d).terms.items():
-                _regularize(d, rest, g2, bottom, sgn * c2, out, memo)
-        assert side == "top", "a cup right end must walk back to the top row"
-        _regularize(d, _bump(rest, land), g, bottom, 1, out, memo)
-        return out
-    return {DotDiagram._trusted(d, g, top, bottom): 1}
+    for top2, g2, bottom2, c in _walk_dot(d, top, g, bottom, *bad):
+        _regularize(d, top2, g2, bottom2, c, out, memo)
+    return out
 
 
 def _append_letter(d, top, g, bottom, tok, coeff, out, memo):
@@ -339,7 +315,7 @@ def _append_letter(d, top, g, bottom, tok, coeff, out, memo):
     Bottom dots at the token's two positions are in the way; a crossing lets
     them through directly, while for a new cup the blocking dot is walked up
     along its strand until the zone is clear.  With the zone clear, the
-    dotless letters compose through the diagram oracle and the surviving
+    dotless letters compose by stacking (`_compose`) and the surviving
     dots are re-legalized against the composite diagram.  A blocked product
     is linear in coeff, so like `_regularize` it is expanded once at
     coefficient 1, kept in `memo` under (g, top, bottom, tok), and scaled.
@@ -368,9 +344,9 @@ def _blocked_letter(d, top, g, bottom, tok, memo):
     out = {}
     a = tok.index
     t = a + 1 if bottom[a] else a
-    rest = _bump(bottom, t, -1)
     if tok.kind == "S":
         # the dot passes straight through the new crossing
+        rest = _bump(bottom, t, -1)
         t2 = a + 1 if t == a else a
         tmp = {}
         _append_letter(d, top, g, rest, tok, 1, tmp, memo)
@@ -380,27 +356,12 @@ def _blocked_letter(d, top, g, bottom, tok, memo):
         _append_letter(d, top, g, rest, E(a), -1, out, memo)
         _regularize(d, top, g, rest, -1 if t == a else 1, out, memo)
         return out
-    # new cup: walk the blocking dot out of the zone first
-    word = canonical_word(g)
-    (side, land), corr = _journey(word, d, len(word), t, True)
-    for sgn, w2 in corr:
-        for g2, c2 in _compose(w2, d).terms.items():
-            _append_letter(d, top, g2, rest, tok, sgn * c2, out, memo)
-    if side == "top":
-        _append_letter(d, _bump(top, land), g, rest, tok, 1, out, memo)
-    else:
-        assert land not in (a, a + 1), "walked dot must leave the cup zone"
-        _append_letter(d, top, g, _bump(rest, land), tok, 1, out, memo)
+    # new cup: walk the blocking dot out of the zone (the last term lands it)
+    for top2, g2, bottom2, c in _walk_dot(d, top, g, bottom, "bottom", t):
+        _append_letter(d, top2, g2, bottom2, tok, c, out, memo)
+    assert bottom2[a - 1] + bottom2[a] < bottom[a - 1] + bottom[a], (
+        "walked dot must leave the cup zone")
     return out
-
-
-def _append_token(d, dd, tok, coeff, out, memo):
-    if tok.kind == "Y":
-        _regularize(d, dd.top_dots, dd.diagram,
-                    _bump(dd.bottom_dots, tok.index), coeff, out, memo)
-    else:
-        _append_letter(d, dd.top_dots, dd.diagram, dd.bottom_dots, tok, coeff,
-                       out, memo)
 
 
 def _append_word(d, terms, word, memo):
@@ -410,7 +371,11 @@ def _append_word(d, terms, word, memo):
     for tok in word:
         nxt = {}
         for dd, c in terms.items():
-            _append_token(d, dd, tok, c, nxt, memo)
+            top, g, bottom = dd.top_dots, dd.diagram, dd.bottom_dots
+            if tok.kind == "Y":
+                _regularize(d, top, g, _bump(bottom, tok.index), c, nxt, memo)
+            else:
+                _append_letter(d, top, g, bottom, tok, c, nxt, memo)
         terms = nxt
         if not terms:
             break
@@ -436,18 +401,15 @@ def normalize(word, d):
 
 
 def multiply(x, y):
-    """Product in the affine algebra: concatenate and re-normalize."""
+    """Product in the affine algebra: concatenate and re-normalize.  Appending
+    is linear, so each term of y appends its word to all of x at once."""
     if x.d != y.d:
         raise ValueError("mixed strand counts")
-    d = x.d
-    acc = {}
-    memo = {}
+    acc, memo = {}, {}
     for v, cv in y.terms.items():
-        wv = word_expansion(v)
-        for u, cu in x.terms.items():
-            for dd, c in _append_word(d, {u: cu * cv}, wv, memo).items():
-                _emit(acc, dd, c)
-    return PdElement(d, acc)
+        combine_scaled(acc, _append_word(x.d, x.terms, word_expansion(v),
+                                         memo), cv)
+    return PdElement(x.d, acc)
 
 
 def tensor_image(x, spec):
@@ -530,6 +492,14 @@ def _v_past_s(vexp, a):
     return out
 
 
+def _emit(out, key, coeff):
+    val = out.get(key, 0) + coeff
+    if val:
+        out[key] = val
+    elif key in out:
+        del out[key]
+
+
 def _daha_word(word, d):
     check_word(word, d)
     terms = {(tuple(range(1, d + 1)), (0,) * d): 1}
@@ -551,7 +521,7 @@ def _daha_word(word, d):
                     else:
                         key = (perm, k2)
                     _emit(nxt, key, c * c2)
-        terms = {k: v for k, v in nxt.items() if v}
+        terms = nxt
         if not terms:
             break
     return DahaElement(d, terms)

@@ -202,7 +202,10 @@ def verify_cmd(suite, n, m, d, max_degree, as_json):
         if params[key] < lows[key]:
             raise click.ClickException(
                 f"--{key.replace('_', '-')} must be at least {lows[key]}")
-    records = run(*(params[k] for k in keys))
+    try:
+        records = run(*(params[k] for k in keys))
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     sys.exit(_report(records, as_json))
 
 

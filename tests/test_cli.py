@@ -99,6 +99,27 @@ def test_verify_pbw_example(runner):
     assert out["all_pass"] and out["checks"] == 2
 
 
+def test_verify_pbw_defaults_fail_with_a_message(runner):
+    # the defaults d = 2, max-degree = 1 need n >= 4, and n defaults to 2
+    for args in ((), ("--n", "2", "--d", "2")):
+        res = invoke(runner, "verify", "--suite", "pbw", *args)
+        assert res.exit_code != 0
+        assert "need n >= d + max_degree + 1" in res.output
+        assert isinstance(res.exception, SystemExit)   # no traceback
+        assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("suite,checks", [("relations", 0), ("appendix", 16)])
+def test_verify_runs_on_one_strand(runner, suite, checks, m):
+    # a single strand has no bend, so no relation with e1 is checked
+    res = invoke(runner, "verify", "--suite", suite, "--d", "1",
+                 "--m", str(m), "--json")
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output)
+    assert out["all_pass"] and out["checks"] == checks
+
+
 def test_mul_brauer_generators(runner, tmp_path):
     s1 = to_document(ADElement.from_diagram(BrauerDiagram.s_generator(2, 1)))
     e1 = to_document(ADElement.from_diagram(BrauerDiagram.eps_generator(2, 1)))

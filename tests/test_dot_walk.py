@@ -3,7 +3,9 @@
 `affine._regularize` keeps each walk's output at coefficient 1 for the rest
 of one normalize or multiply call.  The walk below is the earlier version,
 which walks every correction term again, one dot power at a time; it is
-exponential in the number of dots and stays here only as the oracle.
+exponential in the number of dots and stays here only as the oracle.  It
+walks each dot with `old_journey`, the earlier two-branch form of the
+engine's `_journey`, so the oracle shares no walk code with the engine.
 """
 
 import random
@@ -13,6 +15,7 @@ from periplectic.affine import (DotDiagram, PdElement, _cap_right_ends,
                                 _compose, _cup_right_ends, _emit, _journey,
                                 multiply, normalize, word_expansion)
 from periplectic.brauer import canonical_word as _cw
+from periplectic.brauer import enumerate_diagrams
 from periplectic.tensoraction import E, S, Y
 
 ALPHABET_D3 = (S(1), S(2), E(1), E(2), Y(1), Y(2), Y(3))
@@ -27,6 +30,61 @@ def _bump(dots, t, delta=1):
     if not nxt[t]:
         del nxt[t]
     return nxt
+
+
+# `affine._journey` as it was before its two directions became one loop.
+def old_journey(word, d, pos, idx, moving_up):
+    """Walk one dot power along its strand through a letter word.
+
+    The dot sits between word[pos-1] and word[pos] at horizontal position
+    idx.  A crossing passes it through (switching index), a cup or cap slides
+    it to the other end and turns it around; each such event appends
+    lower-degree corrections (sign, replacement word) where the dot is gone
+    and at most one letter changed.  Returns (("top"|"bottom", index), corr)
+    for the surviving full-degree term.
+    """
+    corr = []
+    steps = 0
+    while True:
+        steps += 1
+        if steps > 4 * (len(word) + 2) * (d + 2):   # pragma: no cover
+            raise AssertionError("dot walk failed to terminate")
+        if moving_up:
+            if pos == 0:
+                return ("top", idx), corr
+            letter = word[pos - 1]
+            b = letter.index
+            if idx not in (b, b + 1):
+                pos -= 1
+            elif letter.kind == "S":
+                repl = word[:pos - 1] + (E(b),) + word[pos:]
+                drop = word[:pos - 1] + word[pos:]
+                corr.append((1, repl))
+                corr.append((-1 if idx == b else 1, drop))
+                idx = b + 1 if idx == b else b
+                pos -= 1
+            else:
+                corr.append((1 if idx == b else -1, word))
+                idx = b + 1 if idx == b else b
+                moving_up = False
+        else:
+            if pos == len(word):
+                return ("bottom", idx), corr
+            letter = word[pos]
+            b = letter.index
+            if idx not in (b, b + 1):
+                pos += 1
+            elif letter.kind == "S":
+                repl = word[:pos] + (E(b),) + word[pos + 1:]
+                drop = word[:pos] + word[pos + 1:]
+                corr.append((-1, repl))
+                corr.append((-1 if idx == b else 1, drop))
+                idx = b + 1 if idx == b else b
+                pos += 1
+            else:
+                corr.append((-1 if idx == b else 1, word))
+                idx = b + 1 if idx == b else b
+                moving_up = True
 
 
 def _tup(dots, d):
@@ -46,7 +104,7 @@ def old_regularize(d, top, g, bottom, coeff, out):
         t = bad_bottom[0]
         rest = _bump(bottom, t, -1)
         word = _cw(g)
-        (side, land), corr = _journey(word, d, len(word), t, True)
+        (side, land), corr = old_journey(word, d, len(word), t, True)
         for sgn, w2 in corr:
             for g2, c2 in _compose(w2, d).terms.items():
                 old_regularize(d, top, g2, rest, coeff * sgn * c2, out)
@@ -61,7 +119,7 @@ def old_regularize(d, top, g, bottom, coeff, out):
         k = bad_top[0]
         rest = _bump(top, k, -1)
         word = _cw(g)
-        (side, land), corr = _journey(word, d, 0, k, False)
+        (side, land), corr = old_journey(word, d, 0, k, False)
         for sgn, w2 in corr:
             for g2, c2 in _compose(w2, d).terms.items():
                 old_regularize(d, rest, g2, bottom, coeff * sgn * c2, out)
@@ -96,7 +154,7 @@ def old_append_letter(d, top, g, bottom, tok, coeff, out):
         old_regularize(d, top, g, rest, unit * coeff, out)
         return
     word = _cw(g)
-    (side, land), corr = _journey(word, d, len(word), t, True)
+    (side, land), corr = old_journey(word, d, len(word), t, True)
     for sgn, w2 in corr:
         for g2, c2 in _compose(w2, d).terms.items():
             old_append_letter(d, top, g2, rest, tok, coeff * sgn * c2, out)
@@ -170,3 +228,18 @@ def test_random_d4_words_match_the_old_walk():
             words.append(word)
     mismatches = sum(normalize(w, 4) != old_normalize(w, 4) for w in words)
     assert mismatches == 0
+
+
+def test_journey_matches_the_two_branch_walk():
+    # every start the engine uses: a bottom dot entering below the word,
+    # moving up, and a top dot entering above it, moving down
+    starts = 0
+    for d in range(1, 5):
+        for g in enumerate_diagrams(d):
+            word = _cw(g)
+            for idx in range(1, d + 1):
+                for pos, moving_up in ((len(word), True), (0, False)):
+                    assert (_journey(word, d, pos, idx, moving_up)
+                            == old_journey(word, d, pos, idx, moving_up))
+                    starts += 1
+    assert starts == 2 * (1 + 2 * 3 + 3 * 15 + 4 * 105)
