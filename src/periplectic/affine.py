@@ -19,6 +19,10 @@ terms with one dot fewer.  Dotless letter words are composed by
 `brauer.stack_word`, which stacks the letters and reads the sign off the
 paths.  Neither step evaluates a representation, so the tensor-space images
 check the engine from outside, in tests and in `verify`.
+
+The engine is the package's only one: the bend-free quotient, the
+degenerate affine Hecke algebra of S_d, is read off the normal form of the
+reversed word (`to_daha`), whose cup-free terms are its PBW basis.
 """
 
 from functools import lru_cache
@@ -389,7 +393,9 @@ def _append_word(d, terms, word, memo):
 # 2 to 4 letters at d = 3 (at most 2,793 distinct words) cached.
 @lru_cache(maxsize=8192)
 def _normalize_cached(word, d):
-    terms = _append_word(d, {DotDiagram.bare(d): 1}, word, {})
+    start = DotDiagram._trusted(d, BrauerDiagram.identity(d), (0,) * d,
+                                (0,) * d)
+    terms = _append_word(d, {start: 1}, word, {})
     return PdElement(d, terms)
 
 
@@ -459,9 +465,12 @@ def pi_m(x, m):
 # ---------------------------------------------------------------------------
 
 class DahaElement(Combination):
-    """Normal form (permutation) . v^K over the symmetric group on d letters.
+    """An element of the bend-free quotient, the degenerate affine Hecke
+    algebra of S_d, in its basis (permutation) . v^K.
 
     Terms are keyed by (one-line permutation top->bottom, v exponents).
+    `to_daha` reads them off affine normal forms: the cup-free monomial
+    y^K . tau of a reversed word gives the key (tau^-1, K).
     """
 
     __slots__ = ()
@@ -477,67 +486,34 @@ class DahaElement(Combination):
         return " + ".join(f"({c})*perm{p}*v^{k}" for (p, k), c in items)
 
 
-def _v_past_s(vexp, a):
-    """Rewrite v^K s_a as [(coeff, s_present, K')]: far powers commute, the
-    two zone powers swap one at a time, each swap shedding a constant term."""
-    t = a + 1 if vexp[a] else (a if vexp[a - 1] else None)
-    if t is None:
-        return [(1, True, vexp)]
-    t2 = a + 1 if t == a else a
-    unit = -1 if t == a else 1
-    out = []
-    for c, flag, k2 in _v_past_s(_bump(vexp, t, -1), a):
-        out.append((c, flag, _bump(k2, t2, 1)))
-    out.append((unit, False, _bump(vexp, t, -1)))
-    return out
-
-
-def _emit(out, key, coeff):
-    val = out.get(key, 0) + coeff
-    if val:
-        out[key] = val
-    elif key in out:
-        del out[key]
-
-
-def _daha_word(word, d):
-    check_word(word, d)
-    terms = {(tuple(range(1, d + 1)), (0,) * d): 1}
-    for tok in word:
-        nxt = {}
-        if tok.kind == "E":
-            return DahaElement.zero(d)
-        for (perm, vexp), c in terms.items():
-            if tok.kind == "Y":
-                key = (perm, _bump(vexp, tok.index))
-                _emit(nxt, key, c)
-            else:
-                a = tok.index
-                for c2, flag, k2 in _v_past_s(vexp, a):
-                    if flag:
-                        swapped = tuple(a + 1 if v == a else (a if v == a + 1 else v)
-                                        for v in perm)
-                        key = (swapped, k2)
-                    else:
-                        key = (perm, k2)
-                    _emit(nxt, key, c * c2)
-        terms = nxt
-        if not terms:
-            break
-    return DahaElement(d, terms)
-
-
 def to_daha(x, d=None):
     """Quotient killing every bend token: words go to the normal form
-    (permutation) . v^K; monomials whose diagram has a horizontal edge die."""
+    (permutation) . v^K; monomials whose diagram has a horizontal edge die.
+
+    A bend-free word is read off the normal form of its reverse, whose
+    cup-free terms y^K . tau are the quotient's basis.  The anti-automorphism
+    s -> -s, y -> -y of the quotient takes the reversed word to the word and
+    y^K . tau to tau^-1 . v^K, each up to the sign (-1)^length; the two signs
+    agree, since every relation of the quotient keeps the length of a word
+    mod 2.
+    """
     if isinstance(x, PdElement):
         out = DahaElement.zero(x.d)
         for u, c in x.terms.items():
-            out = out.add(_daha_word(word_expansion(u), x.d), c)
+            out = out.add(to_daha(word_expansion(u), x.d), c)
         return out
     if d is None:
         raise ValueError("to_daha needs d for a word input")
-    return _daha_word(list(x), d)
+    word = tuple(x)
+    check_word(word, d)
+    if any(tok.kind == "E" for tok in word):
+        return DahaElement.zero(d)
+    out = {}
+    for u, c in normalize(word[::-1], d).terms.items():
+        if u.diagram.is_permutation():
+            tau = u.diagram.permutation()
+            out[(tuple(sorted(tau, key=tau.get)), u.top_dots)] = c
+    return DahaElement(d, out)
 
 
 # ---------------------------------------------------------------------------

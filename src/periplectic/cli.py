@@ -206,6 +206,10 @@ def verify_cmd(suite, n, m, d, max_degree, as_json):
         records = run(*(params[k] for k in keys))
     except ValueError as exc:
         raise click.ClickException(str(exc))
+    if not records:
+        raise click.ClickException(
+            f"suite {suite} ran no check with these parameters, so nothing "
+            f"was verified")
     sys.exit(_report(records, as_json))
 
 

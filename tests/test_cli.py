@@ -110,11 +110,19 @@ def test_verify_pbw_defaults_fail_with_a_message(runner):
 
 
 @pytest.mark.parametrize("m", [0, 1])
-@pytest.mark.parametrize("suite,checks", [("relations", 0), ("appendix", 16)])
+@pytest.mark.parametrize("suite,checks", [("relations", 0), ("appendix", 16),
+                                          ("daha", 0)])
 def test_verify_runs_on_one_strand(runner, suite, checks, m):
-    # a single strand has no bend, so no relation with e1 is checked
+    # a single strand has no bend and no crossing: relations and daha check
+    # nothing there, which is refused rather than reported as a pass
     res = invoke(runner, "verify", "--suite", suite, "--d", "1",
                  "--m", str(m), "--json")
+    if not checks:
+        assert res.exit_code != 0
+        assert f"suite {suite} ran no check" in res.output
+        assert "nothing was verified" in res.output
+        assert "Traceback" not in res.output
+        return
     assert res.exit_code == 0, res.output
     out = json.loads(res.output)
     assert out["all_pass"] and out["checks"] == checks

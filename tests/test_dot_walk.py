@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from periplectic.affine import (DotDiagram, PdElement, _cap_right_ends,
-                                _compose, _cup_right_ends, _emit, _journey,
+                                _compose, _cup_right_ends, _journey,
                                 multiply, normalize, word_expansion)
 from periplectic.brauer import canonical_word as _cw
 from periplectic.brauer import enumerate_diagrams
@@ -30,6 +30,14 @@ def _bump(dots, t, delta=1):
     if not nxt[t]:
         del nxt[t]
     return nxt
+
+
+def _emit(out, key, coeff):
+    val = out.get(key, 0) + coeff
+    if val:
+        out[key] = val
+    elif key in out:
+        del out[key]
 
 
 # `affine._journey` as it was before its two directions became one loop.
