@@ -15,7 +15,9 @@ The appended-dot mechanics are purely pictorial: an illegal dot, or one that
 blocks a new cup, walks along its strand through the diagram's canonical
 letter word, up or down in one loop (`_journey`).  A crossing lets it pass to
 the other index, a cup or cap turns it around, and each spawns correction
-terms with one dot fewer.  Dotless letter words are composed by
+terms with one dot fewer.  The engine reads each diagram's canonical word
+and the right ends of its bends from its one cached record,
+`brauer.diagram_record`.  Dotless letter words are composed by
 `brauer.stack_word`, which stacks the letters and reads the sign off the
 paths.  Neither step evaluates a representation, so the tensor-space images
 check the engine from outside, in tests and in `verify`.
@@ -29,7 +31,8 @@ from functools import lru_cache
 from itertools import product
 
 from .brauer import (ADElement, BrauerDiagram, canonical_word,
-                     enumerate_diagrams, jm_element, stack_word)
+                     diagram_record, enumerate_diagrams, jm_element,
+                     stack_word)
 # unused here; perfbench/tracer.py wraps affine.diagram_of_word by name
 from .brauer import diagram_of_word  # noqa: F401
 from .brauer import multiply as diagram_multiply
@@ -96,37 +99,29 @@ class DotDiagram:
         return f"y{self.top_dots}.{self.diagram}.y{self.bottom_dots}"
 
 
-# Keyed by diagram, as `brauer.canonical_word` is, and bounded the same way:
-# 2048 entries hold every diagram on d <= 5 strands.
-@lru_cache(maxsize=2048)
-def _cup_right_ends(g):
-    return frozenset(r for _l, r in g.cups())
-
-
-@lru_cache(maxsize=2048)
-def _cap_right_ends(g):
-    return frozenset(r for _l, r in g.caps())
-
-
-def _illegal_dot(top, g, bottom):
+def _illegal_dot(top, bottom, cup_ends, cap_ends):
     """The first illegal dot of y^top . g . y^bottom as (side, position), or
-    None: bottom dots off every cap's right end come first, then top dots on
-    a cup's right end."""
-    cap_r = _cap_right_ends(g)
+    None, for a diagram g whose cups and caps end on the right at cup_ends
+    and cap_ends: bottom dots off every cap's right end come first, then top
+    dots on a cup's right end."""
     for t, c in enumerate(bottom, 1):
-        if c and t not in cap_r:
+        if c and t not in cap_ends:
             return "bottom", t
-    cup_r = _cup_right_ends(g)
     for k, c in enumerate(top, 1):
-        if c and k in cup_r:
+        if c and k in cup_ends:
             return "top", k
     return None
 
 
 def is_regular(x):
     """True iff no top dot sits on a cup's right end and every bottom dot
-    sits on a cap's right end."""
-    return _illegal_dot(x.top_dots, x.diagram, x.bottom_dots) is None
+    sits on a cap's right end.  The bends are read off the diagram, not its
+    record, so that checking a monomial builds no canonical word: the
+    reversal on 10,000 strands has about 5 * 10^7 letters."""
+    g = x.diagram
+    return _illegal_dot(x.top_dots, x.bottom_dots,
+                        {r for _l, r in g.cups()},
+                        {r for _l, r in g.caps()}) is None
 
 
 class PdElement(Combination):
@@ -178,10 +173,10 @@ def enumerate_regular(d, max_degree):
     out = []
     rng = range(max_degree + 1)
     for g in enumerate_diagrams(d):
-        cup_r = _cup_right_ends(g)
-        cap_r = _cap_right_ends(g)
-        tops = [rng if k not in cup_r else (0,) for k in range(1, d + 1)]
-        bots = [rng if t in cap_r else (0,) for t in range(1, d + 1)]
+        record = diagram_record(g)
+        tops = [rng if k not in record.cup_ends else (0,)
+                for k in range(1, d + 1)]
+        bots = [rng if t in record.cap_ends else (0,) for t in range(1, d + 1)]
         local = []
         for top in product(*tops):
             left = max_degree - sum(top)
@@ -267,7 +262,7 @@ def _walk_dot(d, top, g, bottom, side, t):
     """Take one dot off position t of the side row of y^top . g . y^bottom
     and walk it through canonical_word(g).  Returns the terms (top, g,
     bottom, coeff) it leaves, not yet regular, the landing term last."""
-    word = canonical_word(g)
+    word = diagram_record(g).word
     if side == "bottom":
         bottom = _bump(bottom, t, -1)
         (side, land), corr = _journey(word, d, len(word), t, True)
@@ -304,7 +299,8 @@ def _walk(d, top, g, bottom, memo):
     illegal placements; the first illegal dot is walked along its strand and
     every term it leaves is regularized in turn.
     """
-    bad = _illegal_dot(top, g, bottom)
+    record = diagram_record(g)
+    bad = _illegal_dot(top, bottom, record.cup_ends, record.cap_ends)
     if bad is None:
         return {DotDiagram._trusted(d, g, top, bottom): 1}
     out = {}
@@ -332,7 +328,8 @@ def _append_letter(d, top, g, bottom, tok, coeff, out, memo):
         # between the two bends are killed as well
         return
     if not (bottom[a - 1] or bottom[a]):
-        for g2, c2 in _compose(canonical_word(g) + (tok,), d).terms.items():
+        word = diagram_record(g).word + (tok,)
+        for g2, c2 in _compose(word, d).terms.items():
             _regularize(d, top, g2, bottom, coeff * c2, out, memo)
         return
     key = (g, top, bottom, tok)

@@ -4,7 +4,10 @@ A diagram on d strands is a perfect matching on the 2d vertices
 {1..d} (top row) and {-1..-d} (bottom row, printed 1bar..dbar).  The algebra
 basis element attached to a diagram g is, by definition, the image under the
 m = 0 representation of a fixed canonical generator word for g; all signs
-are induced by that normalization.
+are induced by that normalization.  That word, its sign at g's witness
+coordinate and the right ends of g's bends are one record per diagram
+(`diagram_record`), the one cache the rewriting engine reads diagrams from,
+bounded at 2048 diagrams.
 
 The product of two diagrams is +-1 times one diagram, or 0, and
 `stack_word` reads it off the stacked picture of a dotless word without
@@ -25,6 +28,7 @@ the right-action convention the matrix of x*y is Mat(y) . Mat(x).
 
 from functools import lru_cache
 from itertools import islice
+from typing import NamedTuple
 
 from . import tensoraction
 from .exactla import Combination
@@ -237,13 +241,34 @@ def _cups_and_permutation(g):
     return cups, perm
 
 
-# The one canonical-word cache.  Its 2048 entries hold every diagram on
-# d <= 5 strands (1 + 3 + 15 + 105 + 945 = 1,069).  Products reach any d:
-# the whole test suite asks for 1,486 diagrams (all of d = 5, 300 of
-# d = 6), and 3,000 random d = 6 words of up to 10 letters and 3 dots
-# reach 2,019; the bound evicts what a larger working set needs again
-# rather than grow without limit.
+class DiagramRecord(NamedTuple):
+    """What the rewriting engine reads off one diagram g."""
+    diagram: BrauerDiagram     # g as first seen
+    word: tuple                # canonical_word(g)
+    sign: int                  # the word's value at g's witness coordinate
+    cup_ends: frozenset        # the right ends of g's cups
+    cap_ends: frozenset        # the right ends of g's caps
+
+
+# The one per-diagram cache.  Its 2048 entries hold every diagram on d <= 5
+# strands (1 + 3 + 15 + 105 + 945 = 1,069).  Products reach any d: the
+# whole test suite asks for 1,486 diagrams (all of d = 5, 300 of d = 6),
+# and 3,000 random d = 6 words of up to 10 letters and 3 dots reach 2,019;
+# the bound evicts what a larger working set needs again.  It hands back the
+# diagram first seen, so equal products are one object while cached and the
+# engine's dict lookups match them by identity, not by __eq__ (which doubled
+# its calls in the rewrite workload).
 @lru_cache(maxsize=2048)
+def diagram_record(g):
+    """The DiagramRecord of g."""
+    cups, perm = _cups_and_permutation(g)
+    word = [tok for a, b in cups for tok in marked_pair(a, b, g.d)]
+    word = tuple(word + [S(a) for a in _swaps(perm, g.d)])
+    return DiagramRecord(g, word, _stacked(word, g.d)[1],
+                         frozenset(b for _a, b in cups),
+                         frozenset(b for _a, b in g.caps()))
+
+
 def canonical_word(g):
     """A fixed S/E generator word for the diagram g, as a tuple of tokens.
 
@@ -252,12 +277,7 @@ def canonical_word(g):
     with matched caps) over a permutation word, processing cups in
     increasing order of left endpoint.
     """
-    cups, perm = _cups_and_permutation(g)
-    word = []
-    for (a, b) in cups:
-        word.extend(marked_pair(a, b, g.d, "marked"))
-    word.extend(S(a) for a in _swaps(perm, g.d))
-    return tuple(word)
+    return diagram_record(g).word
 
 
 def canonical_length(g, limit):
@@ -342,17 +362,6 @@ def _stacked(word, d):
     return matching, sign
 
 
-# Pairs each entry of `canonical_word` with its sign, under the same bound
-# and with the same working sets.  It hands back the diagram it was first
-# called with, so that equal products are one object while cached: the
-# engine's dict lookups then match by identity instead of calling __eq__,
-# which doubled its calls in the rewrite workload without this.
-@lru_cache(maxsize=2048)
-def _canonical(g):
-    """(g, the sign of canonical_word(g) at g's witness coordinate)."""
-    return g, _stacked(canonical_word(g), g.d)[1]
-
-
 def stack_word(word, d):
     """Resolve a dotless S/E word into the diagram algebra by stacking.
 
@@ -368,8 +377,8 @@ def stack_word(word, d):
     if stacked is None:
         return ADElement.zero(d)
     pairs, sign = stacked
-    r, canonical_sign = _canonical(BrauerDiagram(d, pairs))
-    return ADElement(d, {r: sign * canonical_sign})
+    r = diagram_record(BrauerDiagram(d, pairs))
+    return ADElement(d, {r.diagram: sign * r.sign})
 
 
 def multiply(x, y):

@@ -222,11 +222,8 @@ def verify_cmd(suite, n, m, d, max_degree, as_json):
 def render_cmd(fmt, as_json, document):
     """Draw every term of an element document (file, or - for stdin)."""
     _, raw = _read_doc(document)
-    try:
-        drawing = (render.render_svg(raw) if fmt == "svg"
-                   else render.render_ascii(raw))
-    except documents.DocumentError as exc:
-        raise click.ClickException(str(exc))
+    drawing = (render.render_svg(raw) if fmt == "svg"
+               else render.render_ascii(raw))
     if as_json:
         click.echo(json.dumps({"format": fmt, "content": drawing},
                               separators=(",", ":")))

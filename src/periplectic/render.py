@@ -3,34 +3,20 @@
 Both backends draw straight through-strands, cups on the top row, caps on
 the bottom row and filled dots stacked at strand endpoints, one panel per
 term labeled with its coefficient.  All geometry is integer arithmetic on a
-fixed grid, so identical documents always produce identical bytes.
+fixed grid, so identical documents always produce identical bytes.  A
+document is drawn as `documents.to_document` writes the element it encodes,
+so equal elements draw alike and a document `from_document` refuses raises
+its DocumentError here too.
 """
 
-from .documents import DocumentError, SCHEMA_VERSION
-
-
-def _check(doc):
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
-        raise DocumentError("not a versioned element document")
-    d = doc.get("d")
-    terms = doc.get("terms")
-    if not isinstance(d, int) or d < 1 or not isinstance(terms, list):
-        raise DocumentError("malformed document")
-    return d, terms
+from .brauer import BrauerDiagram
+from .documents import from_document, to_document
 
 
 def _edges(term, d):
-    """Split a term's matching into cups, caps and strands (positive ends)."""
-    cups, caps, strands = [], [], []
-    for a, b in term["matching"]:
-        if a > 0 and b > 0:
-            cups.append((min(a, b), max(a, b)))
-        elif a < 0 and b < 0:
-            caps.append((min(-a, -b), max(-a, -b)))
-        else:
-            t, bo = (a, -b) if a > 0 else (b, -a)
-            strands.append((t, bo))
-    return sorted(cups), sorted(caps), sorted(strands)
+    """A term's cups, caps and strands, each pair with positive ends."""
+    g = BrauerDiagram(d, term["matching"])
+    return g.cups(), g.caps(), g.strands()
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +46,8 @@ def _pair_row(glyph, left, right, d):
 
 
 def render_ascii(doc):
-    d, terms = _check(doc)
+    doc = to_document(from_document(doc))
+    d, terms = doc["d"], doc["terms"]
     if not terms:
         return "0\n"
     panels = []
@@ -135,7 +122,8 @@ def _svg_term(term, d, x0, parts):
 
 
 def render_svg(doc):
-    d, terms = _check(doc)
+    doc = to_document(from_document(doc))
+    d, terms = doc["d"], doc["terms"]
     height = _BOT + 44
     if not terms:
         body = ['<text x="12" y="24" font-family="monospace" '

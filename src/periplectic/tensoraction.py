@@ -376,25 +376,28 @@ def apply_word_to_vector(word, spec, vec):
     return vec
 
 
+_PREFIX_DEPTH = 128
+
+
 @lru_cache(maxsize=512)
 def _evaluate_raw(word, spec):
     """Matrix of the word as column dicts {in: {out: value}} (int/Fraction).
 
     A word extends its one-shorter prefix by a single cached column
     application, so a family of words sharing prefixes (word enumerations,
-    normal-form term expansions) costs one step per distinct prefix.
-    Cached and shared between callers: treat the result as read-only.
+    normal-form term expansions) costs one step per distinct prefix.  Past
+    _PREFIX_DEPTH letters a word extends its prefix of that length letter
+    by letter instead, which bounds the recursion.  Cached and shared
+    between callers: treat the result as read-only.
     """
     if not word:
         return {t: {t: 1} for t in range(spec.dim)}
-    prev = _evaluate_raw(word[:-1], spec)
-    tok = word[-1]
-    cols = _op_columns_cached(spec, tok.kind, tok.index)
-    out = {}
-    for t, vec in prev.items():
-        image = kernels.apply_columns(cols, vec)
-        if image:
-            out[t] = image
+    cut = min(len(word) - 1, _PREFIX_DEPTH)
+    out = _evaluate_raw(word[:cut], spec)
+    for tok in word[cut:]:
+        cols = _op_columns_cached(spec, tok.kind, tok.index)
+        out = {t: image for t, vec in out.items()
+               if (image := kernels.apply_columns(cols, vec))}
     return out
 
 

@@ -1,0 +1,130 @@
+"""Mutation gate: every mutant in MUTANTS must fail the fast oracle subset.
+
+Run from anywhere:
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py name ...   # the named ones
+
+For each mutant the script copies `src/`, `tests/` and `pyproject.toml` to a
+temporary directory (pyproject's `pythonpath` would otherwise load the
+unmutated `src/`), replaces the one snippet in the copy, runs SUBSET there
+and prints killed or survived with the seconds the run took.  A run that
+outlasts TIMEOUT_S counts as killed.  The unmutated copy runs first, and
+the script stops if it fails.  Exit status: 0 when every mutant is killed,
+1 when one survives.
+
+A surviving mutant is a missing oracle: it stays in the table.  The file
+name keeps pytest from collecting this script; `test_mutants_table.py`
+checks that every snippet occurs exactly once in `src/`, so code that
+moves must carry its mutants along.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SUBSET = ("tests/test_output_digest.py", "tests/test_stacking.py",
+          "tests/test_dot_walk.py", "tests/test_render.py",
+          "tests/test_diagram_record.py")
+TIMEOUT_S = 300
+
+# (name, file under src/periplectic, exact snippet, replacement, what the
+# replacement breaks)
+MUTANTS = (
+    ("record-bends-swapped", "brauer.py",
+     "frozenset(b for _a, b in cups),\n"
+     "                         frozenset(b for _a, b in g.caps()))",
+     "frozenset(b for _a, b in g.caps()),\n"
+     "                         frozenset(b for _a, b in cups))",
+     "the record's cup ends and cap ends trade places"),
+    ("record-sign-plus", "brauer.py",
+     "DiagramRecord(g, word, _stacked(word, g.d)[1],",
+     "DiagramRecord(g, word, 1,",
+     "every canonical word's sign is taken as +1"),
+    ("stacked-s-either-odd", "brauer.py",
+     'if parity[v] & parity[v + 1] if kind == "S" else parity[v + 2]:',
+     'if parity[v] | parity[v + 1] if kind == "S" else parity[v + 2]:',
+     "a crossing gives -1 when either label above it is odd"),
+    ("stacked-e-above", "brauer.py",
+     'if parity[v] & parity[v + 1] if kind == "S" else parity[v + 2]:',
+     'if parity[v] & parity[v + 1] if kind == "S" else parity[v]:',
+     "a bend's sign is read above the letter, not below"),
+    ("stacked-no-loop-check", "brauer.py",
+     "    if -1 in parity:\n        return None\n",
+     "",
+     "a closed loop no longer gives 0"),
+    ("journey-step-sign", "affine.py",
+     "corr.append((-step, word[:at] + (E(b),) + word[at + 1:]))",
+     "corr.append((step, word[:at] + (E(b),) + word[at + 1:]))",
+     "the replace correction of a crossing keeps its sign walking down"),
+    ("illegal-dot-cap-test", "affine.py",
+     "if c and t not in cap_ends:",
+     "if c and t in cap_ends:",
+     "bottom dots on caps' right ends count as illegal, others as legal"),
+    ("render-bends-swapped", "render.py",
+     "return g.cups(), g.caps(), g.strands()",
+     "return g.caps(), g.cups(), g.strands()",
+     "pictures draw the caps on the top row and the cups below"),
+)
+
+
+def copy_tree(dest):
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    shutil.copytree(ROOT / "src", dest / "src", ignore=skip)
+    shutil.copytree(ROOT / "tests", dest / "tests", ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def run_subset(tree):
+    """(passed, seconds) of SUBSET on the copy at tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+           "no:cacheprovider", *SUBSET]
+    start = time.perf_counter()
+    try:
+        passed = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
+                                timeout=TIMEOUT_S).returncode == 0
+    except subprocess.TimeoutExpired:
+        passed = False
+    return passed, time.perf_counter() - start
+
+
+def main(names):
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        sys.exit(f"unknown mutants: {', '.join(sorted(unknown))}")
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    survived = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "unmutated"
+        copy_tree(base)
+        passed, seconds = run_subset(base)
+        print(f"{'unmutated':<24} {'passed' if passed else 'FAILED':<8} "
+              f"{seconds:6.1f} s")
+        if not passed:
+            sys.exit("the unmutated copy fails the subset; no verdict")
+        shutil.rmtree(base)
+        for name, module, snippet, replacement, breaks in chosen:
+            tree = Path(tmp) / name
+            copy_tree(tree)
+            path = tree / "src" / "periplectic" / module
+            text = path.read_text()
+            if text.count(snippet) != 1:
+                sys.exit(f"{name}: snippet not found once in {module}")
+            path.write_text(text.replace(snippet, replacement))
+            passed, seconds = run_subset(tree)
+            survived += passed
+            print(f"{name:<24} {'SURVIVED' if passed else 'killed':<8} "
+                  f"{seconds:6.1f} s  {breaks}", flush=True)
+            shutil.rmtree(tree)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from periplectic import affine
-from periplectic.affine import (DotDiagram, PdElement, _cap_right_ends,
-                                _cup_right_ends, enumerate_regular,
+from periplectic.affine import (DotDiagram, PdElement, enumerate_regular,
                                 is_regular, multiply, normalize,
                                 pbw_rank_check, pi_m, pi_m_word, tensor_image,
                                 to_daha, word_expansion)
@@ -157,7 +156,8 @@ def regular_monomials(draw, d):
     """A regular dotted diagram: no top dot on a cup's right end, bottom
     dots only on a cap's right end."""
     g = draw(st.sampled_from(enumerate_diagrams(d)))
-    cups, caps = _cup_right_ends(g), _cap_right_ends(g)
+    cups = {r for _l, r in g.cups()}
+    caps = {r for _l, r in g.caps()}
     dots = st.integers(0, 2)
     top = tuple(0 if k in cups else draw(dots) for k in range(1, d + 1))
     bottom = tuple(draw(dots) if k in caps else 0 for k in range(1, d + 1))

@@ -7,7 +7,8 @@ import pytest
 
 from periplectic.brauer import (ADElement, BrauerDiagram, _read_diagrams,
                                 _witnesses, canonical_word, diagram_of_word,
-                                enumerate_diagrams, jm_element, marked_pair,
+                                diagram_record, enumerate_diagrams,
+                                jm_element, marked_pair,
                                 matching_of_operator, multiply, psi_image)
 from periplectic.exactla import Echelon, mat_mul, rank, solve_in_span
 from periplectic.tensoraction import (E, EndoOperator, S, TensorSpaceSpec,
@@ -138,7 +139,7 @@ def test_canonical_words_stack_to_their_diagram(d, sample):
         diagrams = random.Random(d).sample(diagrams, sample)
     for g in diagrams:
         assert stacked_word(canonical_word(g), d) == g
-    assert canonical_word.cache_info().maxsize == 2048
+    assert diagram_record.cache_info().maxsize == 2048
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -11,8 +11,7 @@ engine's `_journey`, so the oracle shares no walk code with the engine.
 import random
 from fractions import Fraction
 
-from periplectic.affine import (DotDiagram, PdElement, _cap_right_ends,
-                                _compose, _cup_right_ends, _journey,
+from periplectic.affine import (DotDiagram, PdElement, _compose, _journey,
                                 multiply, normalize, word_expansion)
 from periplectic.brauer import canonical_word as _cw
 from periplectic.brauer import enumerate_diagrams
@@ -106,7 +105,7 @@ def _dots(vec):
 def old_regularize(d, top, g, bottom, coeff, out):
     if not coeff:
         return
-    cap_r = _cap_right_ends(g)
+    cap_r = {r for _l, r in g.caps()}
     bad_bottom = sorted(t for t, c in bottom.items() if c and t not in cap_r)
     if bad_bottom:
         t = bad_bottom[0]
@@ -121,7 +120,7 @@ def old_regularize(d, top, g, bottom, coeff, out):
         else:
             old_regularize(d, top, g, _bump(rest, land), coeff, out)
         return
-    cup_r = _cup_right_ends(g)
+    cup_r = {r for _l, r in g.cups()}
     bad_top = sorted(k for k, c in top.items() if c and k in cup_r)
     if bad_top:
         k = bad_top[0]

@@ -129,8 +129,7 @@ def test_walk_monomials_equal_validated_ones():
 
 def test_every_engine_cache_has_its_stated_bound():
     bounds = {affine._normalize_cached: 8192, affine._compose: 2048,
-              affine._cup_right_ends: 2048, affine._cap_right_ends: 2048,
-              brauer.canonical_word: 2048, brauer.enumerate_diagrams: 8,
+              brauer.diagram_record: 2048, brauer.enumerate_diagrams: 8,
               tensoraction._op_columns_cached: 256,
               tensoraction._v_action_tables: 16,
               tensoraction._evaluate_raw: 512}

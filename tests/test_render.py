@@ -89,3 +89,36 @@ def test_cup_and_cap_rows_sit_on_correct_side():
     doc = to_document(normalize([E(1), Y(2)], 2))
     art = render_ascii(doc)
     assert art.index("∩") < art.index("*")
+
+
+def test_bends_are_drawn_at_their_own_ends():
+    # e1 s2 at d = 3: the cup joins tops 1 and 2, the cap bottoms 1 and 3
+    doc = doc_of([E(1), S(2)], 3)
+    assert render_ascii(doc) == "(1)\n∪   ∪\n        /\n    /\n∩       ∩\n"
+    svg = render_svg(doc)
+    assert '<path d="M 24 44 Q 44 76 64 44"' in svg
+    assert '<path d="M 24 136 Q 64 96 104 136"' in svg
+
+
+def affine_doc(d, terms):
+    return {"schema_version": "1", "kind": "affine", "d": d, "terms": terms}
+
+
+IDENTITY_TERM = {"coeff": "1", "matching": [[1, -1], [2, -2]],
+                 "top_dots": [0, 0], "bottom_dots": [0, 0]}
+
+MALFORMED = {
+    "no matching": affine_doc(2, [{"coeff": "1", "top_dots": [0, 0],
+                                   "bottom_dots": [0, 0]}]),
+    "one top dot entry": affine_doc(2, [{**IDENTITY_TERM, "top_dots": [1]}]),
+    "five top dot entries": affine_doc(
+        2, [{**IDENTITY_TERM, "top_dots": [1, 0, 0, 0, 1]}]),
+    "d is true": affine_doc(True, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_render_refuses_what_from_document_refuses(name):
+    for draw in (render_ascii, render_svg):
+        with pytest.raises(DocumentError):
+            draw(MALFORMED[name])

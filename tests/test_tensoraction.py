@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from periplectic import tensoraction
 from periplectic.exactla import SparseMatrix
 from periplectic.superalgebra import pn_basis_with_duals
 from periplectic.tensoraction import (E, EndoOperator, S, TensorSpaceSpec, Y,
                                       apply_word_to_vector, check_equivariance,
                                       check_word, commutant_dimension,
-                                      evaluate_word, g_action, op_casimir,
+                                      evaluate_word, evaluate_word_sum,
+                                      g_action, op_casimir,
                                       op_epsilon, op_omega, op_s, op_y)
 
 
@@ -229,3 +231,15 @@ def test_g_action_E11_doubles_e1_tensor_e1():
                                       (3, 3, 15), (4, 3, 15)])
 def test_commutant_dimension(n, d, want):
     assert commutant_dimension(TensorSpaceSpec(n, 0, d)) == want
+
+
+def test_long_words_evaluate_from_a_cold_cache():
+    # each letter of a short word is one cached step on its prefix; a
+    # thousand letters must not recurse a thousand deep
+    spec = TensorSpaceSpec(1, 0, 2)
+    for word, want in (([S(1)] * 1000, []), ([S(1)] * 1001, [S(1)])):
+        tensoraction._evaluate_raw.cache_clear()
+        assert evaluate_word(word, spec) == evaluate_word(want, spec)
+        tensoraction._evaluate_raw.cache_clear()
+        assert (evaluate_word_sum([(word, 2)], spec)
+                == evaluate_word(want, spec).scaled(2))
