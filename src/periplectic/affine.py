@@ -15,12 +15,14 @@ The appended-dot mechanics are purely pictorial: an illegal dot, or one that
 blocks a new cup, walks along its strand through the diagram's canonical
 letter word, up or down in one loop (`_journey`).  A crossing lets it pass to
 the other index, a cup or cap turns it around, and each spawns correction
-terms with one dot fewer.  The engine reads each diagram's canonical word
-and the right ends of its bends from its one cached record,
-`brauer.diagram_record`.  Dotless letter words are composed by
-`brauer.stack_word`, which stacks the letters and reads the sign off the
-paths.  Neither step evaluates a representation, so the tensor-space images
-check the engine from outside, in tests and in `verify`.
+terms with one dot fewer.  Each walk and each letter appended past a
+blocking dot is expanded once, at coefficient 1, into a bounded cache that
+later calls share.  The engine reads each diagram's canonical word and the
+right ends of its bends from its one cached record, `brauer.diagram_record`.
+Dotless letter words are composed by `brauer.stack_word`, which stacks the
+letters and reads the sign off the paths.  Neither step evaluates a
+representation, so the tensor-space images check the engine from outside,
+in tests and in `verify`.
 
 The engine is the package's only one: the bend-free quotient, the
 degenerate affine Hecke algebra of S_d, is read off the normal form of the
@@ -69,7 +71,7 @@ class DotDiagram:
         self.top_dots = top_dots
         self.bottom_dots = bottom_dots
         self._key = (d, diagram.matching, top_dots, bottom_dots)
-        # monomials key every normal form and walk memo; hash the key once
+        # monomials key every normal form and cached walk; hash the key once
         self._hash = hash(self._key)
 
     @classmethod
@@ -136,6 +138,7 @@ class PdElement(Combination):
             raise ValueError(f"monomial is not regular: {u}")
 
     @classmethod
+    @lru_cache(maxsize=8)   # built once per d: every normal form starts here
     def one(cls, d):
         return cls(d, {DotDiagram.bare(d): 1})
 
@@ -276,28 +279,20 @@ def _walk_dot(d, top, g, bottom, side, t):
             for g2, c2 in _compose(w2, d).terms.items()] + [landing]
 
 
-def _regularize(d, top, g, bottom, coeff, out, memo):
-    """Accumulate coeff * y^top . g . y^bottom into out as regular monomials.
-
-    The result is linear in coeff: `_walk`'s output at coefficient 1 is kept
-    in `memo` under (g, top, bottom) and scaled into out, so correction
-    terms that recur are walked once.
-    """
-    if not coeff:
-        return
-    key = (g, top, bottom)
-    unit = memo.get(key)
-    if unit is None:
-        unit = memo[key] = _walk(d, top, g, bottom, memo)
-    combine_scaled(out, unit, coeff)
-
-
-def _walk(d, top, g, bottom, memo):
+# Walks and blocked letters outlive the call that made them: 40,000 rewrite
+# workload operations (random d = 3 words, at most 4 dots) needed 1,506
+# walks and 513 blocked letters, reused 99.5% of the time.  One call must
+# fit, or it walks evicted terms again (2.8 times slower at 16,384): 16
+# dots on d = 3's longest permutation, then s letters, filled up to 34,664
+# walks and 13,717 blocked letters, about 1.3 kB an entry.
+@lru_cache(maxsize=65536)
+def _walk(d, top, g, bottom):
     """y^top . g . y^bottom as regular monomials, {monomial: coefficient}.
 
     top/bottom are dot vectors, d-tuples of counts by position, and may hold
     illegal placements; the first illegal dot is walked along its strand and
-    every term it leaves is regularized in turn.
+    every term it leaves is walked in turn.  The result is linear in the
+    coefficient, so callers scale this cached, shared dict and never write it.
     """
     record = diagram_record(g)
     bad = _illegal_dot(top, bottom, record.cup_ends, record.cap_ends)
@@ -305,11 +300,11 @@ def _walk(d, top, g, bottom, memo):
         return {DotDiagram._trusted(d, g, top, bottom): 1}
     out = {}
     for top2, g2, bottom2, c in _walk_dot(d, top, g, bottom, *bad):
-        _regularize(d, top2, g2, bottom2, c, out, memo)
+        combine_scaled(out, _walk(d, top2, g2, bottom2), c)
     return out
 
 
-def _append_letter(d, top, g, bottom, tok, coeff, out, memo):
+def _append_letter(d, top, g, bottom, tok, coeff, out):
     """Accumulate coeff * y^top . g . y^bottom . tok for an S or E token.
 
     Bottom dots at the token's two positions are in the way; a crossing lets
@@ -317,11 +312,9 @@ def _append_letter(d, top, g, bottom, tok, coeff, out, memo):
     along its strand until the zone is clear.  With the zone clear, the
     dotless letters compose by stacking (`_compose`) and the surviving
     dots are re-legalized against the composite diagram.  A blocked product
-    is linear in coeff, so like `_regularize` it is expanded once at
-    coefficient 1, kept in `memo` under (g, top, bottom, tok), and scaled.
+    is linear in coeff, so like a walk it is expanded once at coefficient 1
+    (`_blocked_letter`, cached) and scaled.
     """
-    if not coeff:
-        return
     a = tok.index
     if tok.kind == "E" and g.partner(-a) == -(a + 1):
         # the new cup meets this cap in a closed loop; any dots caught
@@ -330,18 +323,16 @@ def _append_letter(d, top, g, bottom, tok, coeff, out, memo):
     if not (bottom[a - 1] or bottom[a]):
         word = diagram_record(g).word + (tok,)
         for g2, c2 in _compose(word, d).terms.items():
-            _regularize(d, top, g2, bottom, coeff * c2, out, memo)
+            combine_scaled(out, _walk(d, top, g2, bottom), coeff * c2)
         return
-    key = (g, top, bottom, tok)
-    unit = memo.get(key)
-    if unit is None:
-        unit = memo[key] = _blocked_letter(d, top, g, bottom, tok, memo)
-    combine_scaled(out, unit, coeff)
+    combine_scaled(out, _blocked_letter(d, top, g, bottom, tok), coeff)
 
 
-def _blocked_letter(d, top, g, bottom, tok, memo):
+@lru_cache(maxsize=16384)    # bound: see `_walk`
+def _blocked_letter(d, top, g, bottom, tok):
     """y^top . g . y^bottom . tok as regular monomials, {monomial:
-    coefficient}, when a bottom dot sits at one of the token's positions."""
+    coefficient}, when a bottom dot sits at one of the token's positions;
+    cached and shared like `_walk`'s."""
     out = {}
     a = tok.index
     t = a + 1 if bottom[a] else a
@@ -350,33 +341,32 @@ def _blocked_letter(d, top, g, bottom, tok, memo):
         rest = _bump(bottom, t, -1)
         t2 = a + 1 if t == a else a
         tmp = {}
-        _append_letter(d, top, g, rest, tok, 1, tmp, memo)
+        _append_letter(d, top, g, rest, tok, 1, tmp)
         for dd, c in tmp.items():
-            _regularize(d, dd.top_dots, dd.diagram, _bump(dd.bottom_dots, t2),
-                        c, out, memo)
-        _append_letter(d, top, g, rest, E(a), -1, out, memo)
-        _regularize(d, top, g, rest, -1 if t == a else 1, out, memo)
+            combine_scaled(out, _walk(d, dd.top_dots, dd.diagram,
+                                      _bump(dd.bottom_dots, t2)), c)
+        _append_letter(d, top, g, rest, E(a), -1, out)
+        combine_scaled(out, _walk(d, top, g, rest), -1 if t == a else 1)
         return out
     # new cup: walk the blocking dot out of the zone (the last term lands it)
     for top2, g2, bottom2, c in _walk_dot(d, top, g, bottom, "bottom", t):
-        _append_letter(d, top2, g2, bottom2, tok, c, out, memo)
+        _append_letter(d, top2, g2, bottom2, tok, c, out)
     assert bottom2[a - 1] + bottom2[a] < bottom[a - 1] + bottom[a], (
         "walked dot must leave the cup zone")
     return out
 
 
-def _append_word(d, terms, word, memo):
-    """Append the tokens of word to the normal-form terms one at a time;
-    `memo` holds the walks of _regularize and the blocked letters of
-    _append_letter, and lives for one normalize or multiply call."""
+def _append_word(d, terms, word):
+    """Append the tokens of word to the normal-form terms one at a time."""
     for tok in word:
         nxt = {}
         for dd, c in terms.items():
             top, g, bottom = dd.top_dots, dd.diagram, dd.bottom_dots
             if tok.kind == "Y":
-                _regularize(d, top, g, _bump(bottom, tok.index), c, nxt, memo)
+                bottom = _bump(bottom, tok.index)
+                combine_scaled(nxt, _walk(d, top, g, bottom), c)
             else:
-                _append_letter(d, top, g, bottom, tok, c, nxt, memo)
+                _append_letter(d, top, g, bottom, tok, c, nxt)
         terms = nxt
         if not terms:
             break
@@ -390,10 +380,7 @@ def _append_word(d, terms, word, memo):
 # 2 to 4 letters at d = 3 (at most 2,793 distinct words) cached.
 @lru_cache(maxsize=8192)
 def _normalize_cached(word, d):
-    start = DotDiagram._trusted(d, BrauerDiagram.identity(d), (0,) * d,
-                                (0,) * d)
-    terms = _append_word(d, {start: 1}, word, {})
-    return PdElement(d, terms)
+    return PdElement(d, _append_word(d, PdElement.one(d).terms, word))
 
 
 def normalize(word, d):
@@ -408,10 +395,9 @@ def multiply(x, y):
     is linear, so each term of y appends its word to all of x at once."""
     if x.d != y.d:
         raise ValueError("mixed strand counts")
-    acc, memo = {}, {}
+    acc = {}
     for v, cv in y.terms.items():
-        combine_scaled(acc, _append_word(x.d, x.terms, word_expansion(v),
-                                         memo), cv)
+        combine_scaled(acc, _append_word(x.d, x.terms, word_expansion(v)), cv)
     return PdElement(x.d, acc)
 
 

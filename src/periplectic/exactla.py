@@ -64,15 +64,26 @@ class Combination:
 
     def __init__(self, d, terms=None):
         self.d = d
-        check = self._check_key
+        for key in terms or ():
+            self._check_key(key)
+        self._fill(terms or {})
+
+    def _fill(self, terms):
         clean = {}
-        for key, c in (terms or {}).items():
-            check(key)
+        for key, c in terms.items():
             if type(c) is not int:
                 c = scalar(c)
             if c:
                 clean[key] = c
         self.terms = clean
+
+    @classmethod
+    def _of_checked(cls, d, terms):
+        """An element of keys this type has checked already."""
+        self = cls.__new__(cls)
+        self.d = d
+        self._fill(terms)
+        return self
 
     def _check_key(self, key):
         """Raise ValueError unless `key` is a basis key on self.d strands."""
@@ -86,11 +97,14 @@ class Combination:
             raise ValueError("mixed strand counts")
         acc = dict(self.terms)
         kernels.combine_scaled(acc, other.terms, scalar(scale))
+        if type(other) is type(self):
+            return self._of_checked(self.d, acc)
         return type(self)(self.d, acc)
 
     def scaled(self, c):
         c = scalar(c)
-        return type(self)(self.d, {k: c * v for k, v in self.terms.items()})
+        return self._of_checked(self.d,
+                                {k: c * v for k, v in self.terms.items()})
 
     def is_zero(self):
         return not self.terms

@@ -62,6 +62,23 @@ MUTANTS = (
      "corr.append((-step, word[:at] + (E(b),) + word[at + 1:]))",
      "corr.append((step, word[:at] + (E(b),) + word[at + 1:]))",
      "the replace correction of a crossing keeps its sign walking down"),
+    ("journey-drop-sign", "affine.py",
+     "corr.append((-1 if idx == b else 1, word[:at] + word[at + 1:]))",
+     "corr.append((1 if idx == b else -1, word[:at] + word[at + 1:]))",
+     "the drop correction of a crossing takes the other index's sign"),
+    ("journey-bend-sign", "affine.py",
+     "corr.append((-step if idx == b else step, word))",
+     "corr.append((step if idx == b else -step, word))",
+     "a cup or cap's correction takes the opposite sign"),
+    ("bump-abs-delta", "affine.py",
+     "return dots[:t - 1] + (dots[t - 1] + delta,) + dots[t:]",
+     "return dots[:t - 1] + (dots[t - 1] + abs(delta),) + dots[t:]",
+     "taking a dot off a position adds one instead"),
+    ("blocked-pass-sign", "affine.py",
+     "combine_scaled(out, _walk(d, top, g, rest), -1 if t == a else 1)",
+     "combine_scaled(out, _walk(d, top, g, rest), 1 if t == a else -1)",
+     "a dot passing a new crossing leaves its dropped term with the "
+     "other sign"),
     ("illegal-dot-cap-test", "affine.py",
      "if c and t not in cap_ends:",
      "if c and t in cap_ends:",

@@ -12,6 +12,7 @@ from periplectic.affine import (DotDiagram, PdElement, enumerate_regular,
 from periplectic.brauer import (ADElement, BrauerDiagram, enumerate_diagrams,
                                 jm_element, marked_pair,
                                 multiply as ad_multiply)
+from periplectic.exactla import Combination
 from periplectic.tensoraction import E, S, TensorSpaceSpec, Y, evaluate_word
 
 CROSS2 = BrauerDiagram.s_generator(2, 1)
@@ -47,6 +48,15 @@ def test_element_rejects_irregular_keys():
     bad = DotDiagram(2, CUPCAP2, (0, 1), (0, 0))
     with pytest.raises(ValueError):
         PdElement(2, {bad: Fraction(1)})
+
+
+def test_an_irregular_monomial_still_raises_when_added():
+    # add skips the key check only for an operand of the element's own type
+    bad = DotDiagram(2, CUPCAP2, (0, 1), (0, 0))
+    with pytest.raises(ValueError, match="not regular"):
+        PdElement.one(2).add(Combination(2, {bad: 1}))
+    with pytest.raises(ValueError, match="not regular"):
+        PdElement(2, {DotDiagram.bare(2): 1, bad: 2})
 
 
 # enumeration ---------------------------------------------------------------
@@ -310,9 +320,10 @@ def test_pbw_rank_small(d, max_degree, n, count):
 
 
 # The longest d = 3 permutation, k dots spread over the strands, then
-# s1 s2 s1 s2: before blocked letters were memoized for one call, the letter
-# recursion made 1,346 / 93,125 / 516,025 calls at k = 6 / 12 / 14, about
-# 2.2 times more per added dot.  Memoized, the count grows like k^4.
+# s1 s2 s1 s2: before blocked letters were cached, the letter recursion made
+# 1,346 / 93,125 / 516,025 calls at k = 6 / 12 / 14, about 2.2 times more
+# per added dot.  Cached, the count grows like k^4.  The walk and blocked
+# letter caches outlive a call, so each k starts them empty: a cold walk.
 def test_blocked_letters_grow_polynomially_with_the_dots(monkeypatch):
     calls = []
     inner = affine._append_letter
@@ -327,6 +338,8 @@ def test_blocked_letters_grow_polynomially_with_the_dots(monkeypatch):
         word = ((S(1), S(2), S(1)) + tuple(Y(i % 3 + 1) for i in range(k))
                 + (S(1), S(2), S(1), S(2)))
         calls.clear()
+        affine._walk.cache_clear()
+        affine._blocked_letter.cache_clear()
         # past the normalize cache, so every letter is appended here
         x = affine._normalize_cached.__wrapped__(word, 3)
         counts[k] = len(calls)

@@ -1,10 +1,11 @@
-"""The memoized dot walk against the unmemoized walk it replaced.
+"""The cached dot walk against the uncached walk it replaced.
 
-`affine._regularize` keeps each walk's output at coefficient 1 for the rest
-of one normalize or multiply call.  The walk below is the earlier version,
-which walks every correction term again, one dot power at a time; it is
-exponential in the number of dots and stays here only as the oracle.  It
-walks each dot with `old_journey`, the earlier two-branch form of the
+`affine._walk` keeps each walk's output at coefficient 1 in a bounded cache
+that outlives the normalize or multiply call which computed it, and each
+caller scales it into its own terms.  The walk below is the earlier
+version, which walks every correction term again, one dot power at a time;
+it is exponential in the number of dots and stays here only as the oracle.
+It walks each dot with `old_journey`, the earlier two-branch form of the
 engine's `_journey`, so the oracle shares no walk code with the engine.
 """
 
