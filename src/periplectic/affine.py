@@ -76,8 +76,8 @@ class DotDiagram:
 
     @classmethod
     def _trusted(cls, d, diagram, top_dots, bottom_dots):
-        """A monomial from d-tuples of nonnegative ints, unvalidated: only
-        the rewriting engine, which builds nothing else, calls this."""
+        """A monomial from d-tuples of nonnegative ints, unvalidated: for the
+        engine, which builds no others, and `from_document`, which checks."""
         self = cls.__new__(cls)
         self._fill(d, diagram, top_dots, bottom_dots)
         return self
@@ -478,7 +478,8 @@ def to_daha(x, d=None):
     s -> -s, y -> -y of the quotient takes the reversed word to the word and
     y^K . tau to tau^-1 . v^K, each up to the sign (-1)^length; the two signs
     agree, since every relation of the quotient keeps the length of a word
-    mod 2.
+    mod 2.  A term with a cup lies in the bend ideal, which appending keeps,
+    so the terms with a cup are dropped after each letter appended.
     """
     if isinstance(x, PdElement):
         out = DahaElement.zero(x.d)
@@ -489,13 +490,14 @@ def to_daha(x, d=None):
         raise ValueError("to_daha needs d for a word input")
     word = tuple(x)
     check_word(word, d)
-    if any(tok.kind == "E" for tok in word):
-        return DahaElement.zero(d)
+    terms = PdElement.one(d).terms
+    for tok in reversed(word):
+        terms = {u: c for u, c in _append_word(d, terms, (tok,)).items()
+                 if u.diagram.is_permutation()}
     out = {}
-    for u, c in normalize(word[::-1], d).terms.items():
-        if u.diagram.is_permutation():
-            tau = u.diagram.permutation()
-            out[(tuple(sorted(tau, key=tau.get)), u.top_dots)] = c
+    for u, c in terms.items():
+        tau = u.diagram.permutation()
+        out[(tuple(sorted(tau, key=tau.get)), u.top_dots)] = c
     return DahaElement(d, out)
 
 

@@ -14,7 +14,11 @@ import click
 from . import affine, brauer, documents, render, verify, wordparse
 
 
-def _echo_doc(doc, as_json):
+def _echo_doc(x, as_json):
+    try:
+        doc = documents.to_document(x)
+    except documents.DocumentError as exc:
+        raise click.ClickException(str(exc))
     click.echo(documents.dumps(doc, compact=as_json))
 
 
@@ -25,7 +29,7 @@ def _read_doc(path):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.ClickException(f"cannot read {path}: {exc}")
     try:
         raw = documents.loads(text)
@@ -93,7 +97,7 @@ def normalize(d, as_json, expression):
     acc = affine.PdElement.zero(d)
     for coeff, word in parsed:
         acc = acc.add(affine.normalize(list(word), d).scaled(coeff))
-    _echo_doc(documents.to_document(acc), as_json)
+    _echo_doc(acc, as_json)
 
 
 def _check_product_work(xa, xb, algebra):
@@ -174,7 +178,7 @@ def mul(d, algebra, as_json, doc_a, doc_b):
         prod = affine.multiply(xa, xb)
     else:
         prod = brauer.multiply(xa, xb)
-    _echo_doc(documents.to_document(prod), as_json)
+    _echo_doc(prod, as_json)
 
 
 _VERIFY_CAPS = {"n": 4, "m": 3, "d": 3, "max_degree": 2}

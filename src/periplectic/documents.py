@@ -13,22 +13,26 @@ serialising the same element always yields identical bytes.
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .affine import DahaElement, DotDiagram, PdElement
 from .brauer import ADElement, BrauerDiagram
+from .exactla import scalar
 
 SCHEMA_VERSION = "1"
 
-_COEFF_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_COEFF_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 
 class DocumentError(ValueError):
     """Raised for malformed or inconsistent element documents."""
 
 
-def _coeff_str(c):
-    return str(Fraction(c))
+def _too_long(what):
+    # CPython refuses to convert an int of more digits to or from str
+    return DocumentError(f"{what} is longer than Python's int/str digit limit "
+                         f"of {sys.get_int_max_str_digits()} digits")
 
 
 def _is_int(v):
@@ -42,13 +46,19 @@ def _is_count(v, least):
 
 
 def _parse_coeff(s):
-    if not isinstance(s, str) or not _COEFF_RE.match(s.strip()):
+    """The coefficient string s as an exact scalar (see `exactla.scalar`)."""
+    m = _COEFF_RE.fullmatch(s.strip()) if isinstance(s, str) else None
+    if not m:
         raise DocumentError(f"bad rational coefficient {s!r} (want 'p' or 'p/q')")
-    return Fraction(s.strip())
+    num, den = m.groups()
+    try:
+        return int(num) if den is None else scalar(Fraction(int(num), int(den)))
+    except ValueError:
+        raise _too_long("a coefficient")
 
 
 def _term(coeff, matching, top, bottom):
-    return {"coeff": _coeff_str(coeff),
+    return {"coeff": str(coeff),
             "matching": [list(p) for p in matching],
             "top_dots": list(top),
             "bottom_dots": list(bottom)}
@@ -71,8 +81,12 @@ def to_document(x):
                        for (perm, vexp), c in x.terms.items()))
     else:
         raise TypeError(f"cannot serialise {type(x).__name__}")
+    try:
+        terms = [_term(c, m, t, b) for m, t, b, c in rows]
+    except ValueError:
+        raise _too_long("a coefficient")
     return {"schema_version": SCHEMA_VERSION, "kind": kind, "d": d,
-            "terms": [_term(c, m, t, b) for m, t, b, c in rows]}
+            "terms": terms}
 
 
 def from_document(doc):
@@ -114,8 +128,8 @@ def from_document(doc):
     if kind == "affine":
         acc = {}
         for coeff, g, top, bottom in parsed:
-            u = DotDiagram(d, g, top, bottom)
-            acc[u] = acc.get(u, Fraction(0)) + coeff
+            u = DotDiagram._trusted(d, g, top, bottom)
+            acc[u] = acc.get(u, 0) + coeff
         try:
             return PdElement(d, acc)
         except ValueError as exc:
@@ -125,7 +139,7 @@ def from_document(doc):
         for coeff, g, top, bottom in parsed:
             if any(top) or any(bottom):
                 raise DocumentError("brauer terms cannot carry dots")
-            acc[g] = acc.get(g, Fraction(0)) + coeff
+            acc[g] = acc.get(g, 0) + coeff
         return ADElement(d, acc)
     acc = {}
     for coeff, g, top, bottom in parsed:
@@ -135,7 +149,7 @@ def from_document(doc):
             raise DocumentError("daha terms need permutation matchings")
         perm = g.permutation()
         key = (tuple(perm[i] for i in range(1, d + 1)), bottom)
-        acc[key] = acc.get(key, Fraction(0)) + coeff
+        acc[key] = acc.get(key, 0) + coeff
     return DahaElement(d, acc)
 
 
@@ -148,6 +162,8 @@ def dumps(doc, compact=False):
 def loads(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DocumentError(f"invalid JSON: {exc}")
+    except ValueError:
+        raise _too_long("a JSON number")
     return doc

@@ -9,15 +9,18 @@ Grammar (whitespace free between tokens):
     generator := ('s' | 'e' | 'y') index        e.g. s1, e2, y3
     scalar  :=  int ('/' int)?                  decimal-free rationals only
 
-A parsed expression is a list of (coefficient, token word) pairs; a bare
-scalar term is the empty word.  A term carries at most MAX_DOTS dot letters,
-and its s and e letters weigh at most MAX_LETTER_WORK (see `letter_weight`).
-Errors carry the 0-based source position.
+A parsed expression is a list of (coefficient, token word) pairs, each
+coefficient an exact scalar (`exactla.scalar`); a bare scalar term is the
+empty word.  A term carries at most MAX_DOTS dot letters, and its s and e
+letters weigh at most MAX_LETTER_WORK (see `letter_weight`).  Errors carry
+the 0-based source position.
 """
 
 import re
+import sys
 from fractions import Fraction
 
+from .exactla import scalar
 from .tensoraction import E, S, Y
 
 
@@ -28,8 +31,10 @@ class WordParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<gen>[sey])(?P<idx>\d+)|(?P<num>\d+)"
-                       r"|(?P<op>[*^+/-]))")
+# one group per token kind; a generator's index closes its group last, so
+# `lastgroup` names the kind of every match
+_TOKEN_RE = re.compile(r"(?P<space>\s+)|(?P<letter>[sey])(?P<gen>\d+)"
+                       r"|(?P<num>\d+)|(?P<op>[*^+/-])|(?P<bad>.)", re.S)
 
 _MAKE = {"s": S, "e": E, "y": Y}
 
@@ -97,23 +102,23 @@ def letter_weight(dots, d):
 
 
 def _lex(src):
+    """The tokens of src as (kind, value, position): a generator's value is
+    (letter, index), a number's its int and an operator's its character."""
     out = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m or m.end() == m.start():
-            at = pos + len(src[pos:]) - len(src[pos:].lstrip())
-            if at >= len(src):
-                break
-            raise WordParseError(f"unexpected character {src[at]!r}", at)
-        at = m.start() + len(m.group(0)) - len(m.group(0).lstrip())
-        if m.group("gen"):
-            out.append(("gen", (m.group("gen"), int(m.group("idx"))), at))
-        elif m.group("num"):
-            out.append(("num", int(m.group("num")), at))
-        else:
-            out.append(("op", m.group("op"), at))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(src):
+        kind, at = m.lastgroup, m.start()
+        if kind == "op":
+            out.append((kind, m[kind], at))
+        elif kind == "bad":
+            raise WordParseError(f"unexpected character {m[kind]!r}", at)
+        elif kind != "space":
+            try:
+                n = int(m[kind])
+            except ValueError:
+                raise WordParseError(
+                    f"a number is longer than Python's int/str digit limit "
+                    f"of {sys.get_int_max_str_digits()} digits", m.start(kind))
+            out.append((kind, (m["letter"], n) if kind == "gen" else n, at))
     return out
 
 
@@ -164,30 +169,25 @@ class _Parser:
         self.dots = 0
         self.work = 0
         kind, val, at = self.peek()
-        coeff = Fraction(sign)
-        word = []
-        if kind == "num":
-            self.take()
-            num = val
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "/":
-                self.take()
-                den, dat = self.expect_num("a denominator")
-                if den == 0:
-                    raise WordParseError("zero denominator", dat)
-                coeff *= Fraction(num, den)
-            else:
-                coeff *= num
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "*":
-                self.take()
-                word = self.factors()
-            elif kind2 == "gen":
-                word = self.factors()
-            return coeff, tuple(word)
         if kind == "gen":
-            return coeff, tuple(self.factors())
-        raise WordParseError("expected a scalar or generator", at)
+            return sign, tuple(self.factors())
+        if kind != "num":
+            raise WordParseError("expected a scalar or generator", at)
+        self.take()
+        coeff = sign * val
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "/":
+            self.take()
+            den, dat = self.expect_num("a denominator")
+            if den == 0:
+                raise WordParseError("zero denominator", dat)
+            coeff = scalar(Fraction(coeff, den))
+            kind, val, _ = self.peek()
+        if kind == "op" and val == "*":
+            self.take()
+        elif kind != "gen":
+            return coeff, ()
+        return coeff, tuple(self.factors())
 
     def factors(self):
         word = list(self.factor())

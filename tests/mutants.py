@@ -30,7 +30,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SUBSET = ("tests/test_output_digest.py", "tests/test_stacking.py",
           "tests/test_dot_walk.py", "tests/test_render.py",
-          "tests/test_diagram_record.py")
+          "tests/test_diagram_record.py", "tests/test_documents.py",
+          "tests/test_reader_oracles.py", "tests/test_tensoraction.py",
+          "tests/test_commutant_generators.py::"
+          "test_generators_and_cartan_generate_pn")
 TIMEOUT_S = 300
 
 # (name, file under src/periplectic, exact snippet, replacement, what the
@@ -87,6 +90,55 @@ MUTANTS = (
      "return g.cups(), g.caps(), g.strands()",
      "return g.caps(), g.cups(), g.strands()",
      "pictures draw the caps on the top row and the cups below"),
+    ("coeff-sign-dropped", "documents.py",
+     r'_COEFF_RE = re.compile(r"([+-]?\d+)(?:/',
+     r'_COEFF_RE = re.compile(r"[+-]?(\d+)(?:/',
+     "a document's coefficient loses its sign"),
+    ("coeff-upside-down", "documents.py",
+     "Fraction(int(num), int(den))",
+     "Fraction(int(den), int(num))",
+     "a document's coefficient p/q reads as q/p"),
+    ("dots-negative-pass", "documents.py",
+     "if not all(_is_count(v, 0) for v in top + bottom):",
+     "if not all(_is_int(v) for v in top + bottom):",
+     "negative dot counts reach DotDiagram._trusted"),
+    ("dots-bottom-length", "documents.py",
+     "if len(top) != d or len(bottom) != d:",
+     "if len(top) != d:",
+     "a bottom dot vector of the wrong length reaches DotDiagram._trusted"),
+    ("lexer-position-end", "wordparse.py",
+     "kind, at = m.lastgroup, m.start()",
+     "kind, at = m.lastgroup, m.end()",
+     "every token reports the position after it"),
+    ("daha-no-cup-filter", "affine.py",
+     "if u.diagram.is_permutation()}",
+     "}",
+     "to_daha keeps the terms with a cup after each letter"),
+    ("scalar-never-int", "exactla.py",
+     "c.numerator if c.denominator == 1 else c",
+     "c.numerator if c.denominator == 0 else c",
+     "integral coefficients stay Fractions"),
+    ("op-s-either-odd", "tensoraction.py",
+     "sgn = -1 if (_parity(n, dg[p]) and _parity(n, dg[q])) else 1",
+     "sgn = -1 if (_parity(n, dg[p]) or _parity(n, dg[q])) else 1",
+     "the S operator gives -1 when either swapped digit is odd"),
+    ("op-e-bar-sign", "tensoraction.py",
+     "-1 if i >= n else 1",
+     "-1 if i < n else 1",
+     "the E operator's bar pairs take the opposite sign"),
+    ("casimir-no-dual-parity", "tensoraction.py",
+     "crossing = par * (pref[s] + pref[dual_slot])",
+     "crossing = par * pref[s]",
+     "a Y operator's crossing sign forgets the odd digits before the "
+     "dual slot"),
+    ("pn-generators-no-y12", "superalgebra.py",
+     'wanted.append(("Y_st", (1, 2)))',
+     "pass",
+     "the generating set of p(n) misses Y_12, so g_-1 is not generated"),
+    ("reduce-scale-pivot-only", "kernels.py",
+     "residual = {k: p * v for k, v in residual.items()}",
+     "residual = {k: p * v if k == j else v for k, v in residual.items()}",
+     "a reduction scales the residual's pivot coordinate only"),
 )
 
 

@@ -364,3 +364,53 @@ def test_letter_bound_weighs_each_power_after_the_dots_before_it(d, dots):
     if dots:
         # letters before the dots weigh as if no dot preceded them
         parse_expression(f"s1^{MAX_LETTER_WORK // letter_weight(0, d)}*y1", d)
+
+
+def assert_refused_with_a_message(res, *fragments):
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit), res.exception
+    for fragment in fragments:
+        assert fragment in res.output
+
+
+@pytest.mark.parametrize("expression,position", [
+    ("9" * 5000 + "*s1", 0), ("s" + "9" * 5000, 1), ("s1^" + "9" * 5000, 3)],
+    ids=["coefficient", "index", "power"])
+def test_normalize_refuses_an_over_long_number_at_its_position(
+        runner, expression, position):
+    res = invoke(runner, "normalize", "--d", "2", expression)
+    assert_refused_with_a_message(res, "digit limit",
+                                  f"(at position {position})")
+
+
+def test_normalize_refuses_an_over_long_output_coefficient(runner):
+    # the input's 4,300 digits pass; its product with the normal form's
+    # coefficients does not
+    res = invoke(runner, "normalize", "--d", "2", "9" * 4300 + "*s1*y1^20")
+    assert_refused_with_a_message(res, "a coefficient", "digit limit")
+
+
+def test_mul_refuses_an_over_long_product_coefficient(runner, tmp_path):
+    x = PdElement.one(2).scaled(10 ** 4000 - 1)
+    paths = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(dumps(to_document(x)))
+        paths.append(str(path))
+    res = invoke(runner, "mul", *paths)
+    assert_refused_with_a_message(res, "a coefficient", "digit limit")
+
+
+def test_mul_refuses_an_over_long_json_number(runner, tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text('{"schema_version": "1", "kind": "affine", "d": '
+                    + "9" * 5000 + ', "terms": []}')
+    res = invoke(runner, "mul", str(path), str(path))
+    assert_refused_with_a_message(res, "a JSON number", "digit limit")
+
+
+def test_render_refuses_a_file_that_is_not_utf8(runner, tmp_path):
+    path = tmp_path / "a.json"
+    path.write_bytes(b"\xff\xfe{}")
+    res = invoke(runner, "render", str(path))
+    assert_refused_with_a_message(res, "cannot read")

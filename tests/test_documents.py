@@ -98,6 +98,8 @@ BAD_MUTATIONS = [
     ("short matching", lambda d: d["terms"][0].update(matching=[[1, -1]])),
     ("dots length", lambda d: d["terms"][0].update(bottom_dots=[0, 0, 0])),
     ("negative dots", lambda d: d["terms"][0].update(bottom_dots=[-2, 0])),
+    # legal places for dots, so only the count check refuses them
+    ("negative top dots", lambda d: d["terms"][0].update(top_dots=[-1, 0])),
     ("dot type", lambda d: d["terms"][0].update(top_dots=["1", 0])),
     ("dot bool", lambda d: d["terms"][0].update(top_dots=[True, 0])),
     ("d bool", lambda d: d.update(kind="brauer", d=True, terms=[
@@ -135,3 +137,20 @@ def test_daha_documents_must_be_permutations():
 def test_loads_rejects_non_json():
     with pytest.raises(DocumentError):
         from_document(loads("not json"))
+    with pytest.raises(DocumentError, match="invalid JSON"):
+        loads(b"\xff\xfe{")
+
+
+def test_over_long_numbers_are_document_errors():
+    # CPython converts at most 4,300 digits between int and str
+    with pytest.raises(DocumentError, match="digit limit"):
+        loads('{"d": ' + "9" * 5000 + "}")
+    doc = loads(dumps(to_document(normalize([S(1), Y(1)], 2))))
+    doc["terms"][0]["coeff"] = "9" * 5000
+    with pytest.raises(DocumentError, match="digit limit"):
+        from_document(doc)
+    doc["terms"][0]["coeff"] = "-1/" + "9" * 5000
+    with pytest.raises(DocumentError, match="digit limit"):
+        from_document(doc)
+    with pytest.raises(DocumentError, match="digit limit"):
+        to_document(PdElement.one(2).scaled(Fraction(10 ** 5000, 3)))
