@@ -225,9 +225,8 @@ def verify_cmd(suite, n, m, d, max_degree, as_json):
 @click.argument("document")
 def render_cmd(fmt, as_json, document):
     """Draw every term of an element document (file, or - for stdin)."""
-    _, raw = _read_doc(document)
-    drawing = (render.render_svg(raw) if fmt == "svg"
-               else render.render_ascii(raw))
+    x, _ = _read_doc(document)
+    drawing = render.draw_svg(x) if fmt == "svg" else render.draw_ascii(x)
     if as_json:
         click.echo(json.dumps({"format": fmt, "content": drawing},
                               separators=(",", ":")))

@@ -52,6 +52,39 @@ def apply_columns(cols, vec):
     return out
 
 
+def prepend_columns(cols, image):
+    """The column table of ``cols`` followed by ``image``.
+
+    ``cols`` is a column table as in `apply_columns` and ``image`` maps an
+    input index to its dict vector; column t of the result is
+    sum of a * image[i] over (i, a) in cols[t], zero columns left out.  The
+    result shares what it can: a single entry of coefficient 1 keeps that
+    column of ``image`` itself, uncopied, and a column list that several
+    inputs share in ``cols`` is combined once, into one dict that all of
+    them keep.  So the result's columns are read-only.
+    """
+    out = {}
+    made = {}       # id of a list combined before -> its dict
+    get = image.get
+    for t, col in cols.items():
+        if len(col) == 1:
+            i, a = col[0]
+            vec = get(i)
+            if vec:
+                out[t] = vec if a == 1 else {k: a * v for k, v in vec.items()}
+            continue
+        vec = made.get(id(col))
+        if vec is None:
+            vec = made[id(col)] = {}
+            for i, a in col:
+                src = get(i)
+                if src:
+                    combine_scaled(vec, src, a)
+        if vec:
+            out[t] = vec
+    return out
+
+
 def matmul_dicts(a_rows, b_rows):
     """Row-major sparse product: (A @ B)[i] = sum_k A[i][k] * B[k].
 

@@ -3,10 +3,11 @@
 Both backends draw straight through-strands, cups on the top row, caps on
 the bottom row and filled dots stacked at strand endpoints, one panel per
 term labeled with its coefficient.  All geometry is integer arithmetic on a
-fixed grid, so identical documents always produce identical bytes.  A
-document is drawn as `documents.to_document` writes the element it encodes,
-so equal elements draw alike and a document `from_document` refuses raises
-its DocumentError here too.
+fixed grid, so identical documents always produce identical bytes.  An
+element is drawn as `documents.to_document` writes it (`draw_ascii`,
+`draw_svg`), so equal elements draw alike; `render_ascii` and `render_svg`
+draw the element a document encodes, and a document `from_document` refuses
+raises its DocumentError there too.
 """
 
 from .brauer import BrauerDiagram
@@ -46,7 +47,11 @@ def _pair_row(glyph, left, right, d):
 
 
 def render_ascii(doc):
-    doc = to_document(from_document(doc))
+    return draw_ascii(from_document(doc))
+
+
+def draw_ascii(x):
+    doc = to_document(x)
     d, terms = doc["d"], doc["terms"]
     if not terms:
         return "0\n"
@@ -122,7 +127,11 @@ def _svg_term(term, d, x0, parts):
 
 
 def render_svg(doc):
-    doc = to_document(from_document(doc))
+    return draw_svg(from_document(doc))
+
+
+def draw_svg(x):
+    doc = to_document(x)
     d, terms = doc["d"], doc["terms"]
     height = _BOT + 44
     if not terms:

@@ -28,7 +28,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SUBSET = ("tests/test_output_digest.py", "tests/test_stacking.py",
+SUBSET = ("tests/test_word_image_oracle.py",
+          "tests/test_output_digest.py", "tests/test_stacking.py",
           "tests/test_dot_walk.py", "tests/test_render.py",
           "tests/test_diagram_record.py", "tests/test_documents.py",
           "tests/test_reader_oracles.py", "tests/test_tensoraction.py",
@@ -126,6 +127,22 @@ MUTANTS = (
      "-1 if i >= n else 1",
      "-1 if i < n else 1",
      "the E operator's bar pairs take the opposite sign"),
+    ("prepend-minus-one-shared", "kernels.py",
+     "vec if a == 1 else {k: a * v for k, v in vec.items()}",
+     "vec",
+     "an S letter's -1 entry shares the rest's column without negating it"),
+    ("e-rest-one-side", "tensoraction.py",
+     "rest = (tuple(dg[:p]), tuple(dg[q + 1:]))",
+     "rest = tuple(dg[:p])",
+     "E inputs that differ only right of the bend share one column"),
+    ("suffix-lead-forward", "tensoraction.py",
+     "for tok in reversed(word[:cut]):",
+     "for tok in word[:cut]:",
+     "the letters past the depth bound are added first to last"),
+    ("suffix-cut-off-by-one", "tensoraction.py",
+     "out = _evaluate_raw(word[cut:], spec)",
+     "out = _evaluate_raw(word[cut + 1:], spec)",
+     "the cached suffix starts a letter late, so that letter is lost"),
     ("casimir-no-dual-parity", "tensoraction.py",
      "crossing = par * (pref[s] + pref[dual_slot])",
      "crossing = par * pref[s]",

@@ -414,3 +414,66 @@ def test_render_refuses_a_file_that_is_not_utf8(runner, tmp_path):
     path.write_bytes(b"\xff\xfe{}")
     res = invoke(runner, "render", str(path))
     assert_refused_with_a_message(res, "cannot read")
+
+
+RENDER_DOCS = {
+    "dotted": to_document(normalize([S(1), Y(1), E(2), Y(3), S(2), Y(2)], 3)),
+    "brauer": to_document(ADElement.from_diagram(
+        BrauerDiagram.eps_generator(3, 1)).add(
+            ADElement.from_diagram(BrauerDiagram.s_generator(3, 2)), -2)),
+    "zero": to_document(PdElement.zero(2)),
+    # not as to_document writes it: terms out of order, an unreduced and a
+    # repeated coefficient
+    "unsorted": {"schema_version": "1", "kind": "affine", "d": 2, "terms": [
+        {"coeff": "2/4", "matching": [[1, -1], [2, -2]],
+         "top_dots": [0, 1], "bottom_dots": [0, 0]},
+        {"coeff": "-3", "matching": [[1, 2], [-1, -2]],
+         "top_dots": [0, 0], "bottom_dots": [0, 0]},
+        {"coeff": "1/2", "matching": [[1, -1], [2, -2]],
+         "top_dots": [0, 1], "bottom_dots": [0, 0]}]},
+}
+# sha256 of every drawing below, as the command printed it before it read
+# each document once
+RENDER_DIGEST = ("4042bcfe4c0e89afd80d9de9d4c60d2c"
+                 "fe077575f4a87cf9ef52460bbd2cbf8a")
+
+
+def render_outputs(runner, tmp_path):
+    for name in sorted(RENDER_DOCS):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(RENDER_DOCS[name]))
+        for fmt in ("ascii", "svg"):
+            for flags in ((), ("--json",)):
+                res = invoke(runner, "render", "--format", fmt, *flags,
+                             str(path))
+                assert res.exit_code == 0, res.output
+                yield res.output
+
+
+def test_render_prints_the_bytes_it_printed_before(runner, tmp_path):
+    import hashlib
+    digest = hashlib.sha256()
+    for out in render_outputs(runner, tmp_path):
+        digest.update(out.encode())
+    assert digest.hexdigest() == RENDER_DIGEST
+
+
+def test_render_reads_its_document_once(runner, tmp_path, monkeypatch):
+    from periplectic import documents, render
+    calls = []
+    original = documents.from_document
+
+    def counted(doc):
+        calls.append(doc)
+        return original(doc)
+
+    monkeypatch.setattr(documents, "from_document", counted)
+    monkeypatch.setattr(render, "from_document", counted)
+    path = tmp_path / "x.json"
+    path.write_text(dumps(RENDER_DOCS["dotted"]))
+    for fmt in ("ascii", "svg"):
+        for flags in ((), ("--json",)):
+            calls.clear()
+            res = invoke(runner, "render", "--format", fmt, *flags, str(path))
+            assert res.exit_code == 0, res.output
+            assert len(calls) == 1

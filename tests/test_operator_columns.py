@@ -89,11 +89,15 @@ def test_compose_matches_the_matrix_product(case, data):
     assert all(got.columns.values())
 
 
-@given(weighted_words())
+@given(weighted_words(), st.sampled_from([(), (S(1),), (E(1),)]))
 @settings(max_examples=30, deadline=None)
-def test_operations_leave_the_cached_table_unchanged(case):
+def test_operations_leave_the_cached_table_unchanged(case, first):
+    # an S- or E-first word's table shares its columns with the rest's
     spec, pairs = case
-    word, c = pairs[0]
+    rest, c = pairs[0]
+    word = first + rest
+    rest_table = _evaluate_raw(rest, spec)
+    rest_before = copy.deepcopy(rest_table)
     table = _evaluate_raw(word, spec)
     before = copy.deepcopy(table)
     op = evaluate_word(word, spec)
@@ -108,9 +112,10 @@ def test_operations_leave_the_cached_table_unchanged(case):
     op.apply_dict({t: c for t in range(spec.dim)})
     assert op == twin
     op.matrix.entries[(0, 0)] = Fraction(7)   # the view is a copy
-    assert evaluate_word_sum(pairs, spec) is not None
+    assert evaluate_word_sum([(word, c)] + pairs, spec) is not None
     assert _evaluate_raw(word, spec) is table
     assert table == before
+    assert rest_table == rest_before
 
 
 def test_operator_built_from_fractions_equals_int_columns():
