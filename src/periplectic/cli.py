@@ -182,6 +182,12 @@ def mul(d, algebra, as_json, doc_a, doc_b):
 
 
 _VERIFY_CAPS = {"n": 4, "m": 3, "d": 3, "max_degree": 2}
+# relations and appendix act on M (x) V^(x)d, of dimension (2n)^(m+d).  At
+# 6^6 = 46,656, (n, m, d) = (3, 3, 3), they took 14.9 and 9.0 s with 1.2 GB
+# and 310 MB of peak memory; at 8^6, (4, 3, 3), the only larger space the
+# caps admit, relations ran out of memory under a 4 GB address-space limit
+# and appendix, then running every relation, went past 120 s
+_VERIFY_MAX_DIM = 6 ** 6
 
 
 @main.command(name="verify")
@@ -206,6 +212,11 @@ def verify_cmd(suite, n, m, d, max_degree, as_json):
         if params[key] < lows[key]:
             raise click.ClickException(
                 f"--{key.replace('_', '-')} must be at least {lows[key]}")
+    dim = (2 * n) ** (m + d)
+    if "m" in keys and dim > _VERIFY_MAX_DIM:
+        raise click.ClickException(
+            f"the tensor space has dimension (2n)^(m+d) = {dim}, above the "
+            f"bound {_VERIFY_MAX_DIM} = 6^6")
     try:
         records = run(*(params[k] for k in keys))
     except ValueError as exc:

@@ -1,26 +1,28 @@
-"""Executable verification suites over the exact representations.
+"""Executable verification suites over the exact representations and the
+quotients, with the defining relations written once, in `relations`.
 
 Every suite returns a list of {"name", "pass", "detail"} records; a record
-compares exact rational matrices or vectors, never floats.  The CLI sorts
-records by name before printing, so check names are chosen to read well in
-sorted order.
+compares exact rational matrices, vectors or combinations, never floats.
+The CLI sorts records by name before printing, so check names are chosen to
+read well in sorted order.
 """
 
-from .affine import DahaElement, pbw_rank_check, enumerate_regular, to_daha
-from .brauer import (ADElement, BrauerDiagram, jm_element, psi_image,
-                     multiply as diagram_multiply)
+from .affine import (DahaElement, enumerate_regular, pbw_rank_check,
+                     pi_m_word, to_daha)
+from .brauer import ADElement, jm_element, psi_image
 from .superalgebra import pn_basis_with_duals
 from .tensoraction import (E, S, TensorSpaceSpec, Y, evaluate_word,
                            evaluate_word_sum, g_action, op_epsilon, op_omega)
 
 
-def _word_sum(spec, parts):
-    """Exact operator of sum(coeff * word) on the tensor space."""
-    return evaluate_word_sum([(word, coeff) for coeff, word in parts], spec)
-
-
-def _is_zero_identity(spec, lhs_parts, rhs_parts):
-    return _word_sum(spec, lhs_parts) == _word_sum(spec, rhs_parts)
+def _agree_under(image, zero, lhs, rhs):
+    """Whether both sides, lists of (coefficient, word), have one image:
+    image maps a word into the algebra whose zero element is zero."""
+    diff = zero
+    for sign, side in ((1, lhs), (-1, rhs)):
+        for coeff, word in side:
+            diff = diff.add(image(word), sign * coeff)
+    return diff.is_zero()
 
 
 def _record(out, name, ok, detail=""):
@@ -31,76 +33,86 @@ def _record(out, name, ok, detail=""):
 # defining relations
 # ---------------------------------------------------------------------------
 
-def relations_suite(n, m, d):
-    """All defining relations as exact matrix identities on M (x) V^(x)d."""
-    spec = TensorSpaceSpec(n, m, d).validate()
-    out = []
-    eq = lambda name, lhs, rhs: _record(out, name, _is_zero_identity(spec, lhs, rhs))
-    one = [(1, [])]
+def relations(d):
+    """The defining relations of the affine algebra on d strands, as rows
+    (name, lhs, rhs): each side is a list of (coefficient, word), and each
+    word a tuple of tokens.  Every check of the presentation reads this
+    table, on the tensor spaces and under the quotient maps alike."""
+    rows = []
+    eq = lambda name, lhs, rhs: rows.append((name, lhs, rhs))
+    w = lambda *word: [(1, word)]
+    commute = lambda name, x, y: eq(name, w(x, y), w(y, x))
 
     for a in range(1, d):
-        eq(f"P1.square.s{a}", [(1, [S(a), S(a)])], one)
+        eq(f"P1.square.s{a}", w(S(a), S(a)), w())
     for a in range(1, d):
         for b in range(a + 2, d):
-            eq(f"P2a.far_s.s{a}.s{b}",
-               [(1, [S(a), S(b)])], [(1, [S(b), S(a)])])
+            commute(f"P2a.far_s.s{a}.s{b}", S(a), S(b))
     for a in range(1, d - 1):
         eq(f"P2b.braid.s{a}",
-           [(1, [S(a), S(a + 1), S(a)])], [(1, [S(a + 1), S(a), S(a + 1)])])
+           w(S(a), S(a + 1), S(a)), w(S(a + 1), S(a), S(a + 1)))
     for a in range(1, d):
         for i in range(1, d + 1):
             if i not in (a, a + 1):
-                eq(f"P2c.far_sy.s{a}.y{i}",
-                   [(1, [S(a), Y(i)])], [(1, [Y(i), S(a)])])
+                commute(f"P2c.far_sy.s{a}.y{i}", S(a), Y(i))
     for a in range(1, d):
-        eq(f"P3.square.e{a}", [(1, [E(a), E(a)])], [])
-    if d >= 2:   # a single strand has no bend to pinch
+        eq(f"P3.square.e{a}", w(E(a), E(a)), [])
+    for a in range(1, d):
         for k in range(4):
-            eq(f"P4.pinch.y1^{k}", [(1, [E(1)] + [Y(1)] * k + [E(1)])], [])
+            eq(f"P4.pinch.y{a}^{k}", w(E(a), *[Y(a)] * k, E(a)), [])
     for a in range(1, d):
         for b in range(a + 2, d):
-            eq(f"P5a.far_es.e{a}.s{b}",
-               [(1, [E(a), S(b)])], [(1, [S(b), E(a)])])
-            eq(f"P5a.far_ee.e{a}.e{b}",
-               [(1, [E(a), E(b)])], [(1, [E(b), E(a)])])
+            commute(f"P5a.far_es.e{a}.s{b}", E(a), S(b))
+            commute(f"P5a.far_ee.e{a}.e{b}", E(a), E(b))
     for a in range(1, d):
         for i in range(1, d + 1):
             if i not in (a, a + 1):
-                eq(f"P5b.far_ey.e{a}.y{i}",
-                   [(1, [E(a), Y(i)])], [(1, [Y(i), E(a)])])
+                commute(f"P5b.far_ey.e{a}.y{i}", E(a), Y(i))
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
-            eq(f"P5c.commute.y{i}.y{j}",
-               [(1, [Y(i), Y(j)])], [(1, [Y(j), Y(i)])])
+            commute(f"P5c.commute.y{i}.y{j}", Y(i), Y(j))
     for a in range(1, d):
-        eq(f"P6a.abs_left.e{a}", [(1, [E(a), S(a)])], [(-1, [E(a)])])
-        eq(f"P6a.abs_right.e{a}", [(1, [S(a), E(a)])], [(1, [E(a)])])
+        eq(f"P6a.abs_left.e{a}", w(E(a), S(a)), [(-1, (E(a),))])
+        eq(f"P6a.abs_right.e{a}", w(S(a), E(a)), w(E(a)))
     for c in range(1, d - 1):
         eq(f"P6b.slide1.c{c}",
-           [(1, [S(c), E(c + 1), E(c)])], [(-1, [S(c + 1), E(c)])])
-        eq(f"P6b.slide2.c{c}",
-           [(1, [E(c), E(c + 1), S(c)])], [(1, [E(c), S(c + 1)])])
+           w(S(c), E(c + 1), E(c)), [(-1, (S(c + 1), E(c)))])
+        eq(f"P6b.slide2.c{c}", w(E(c), E(c + 1), S(c)), w(E(c), S(c + 1)))
         eq(f"P6c.slide1.c{c}",
-           [(1, [E(c + 1), E(c), S(c + 1)])], [(-1, [E(c + 1), S(c)])])
-        eq(f"P6c.slide2.c{c}",
-           [(1, [S(c + 1), E(c), E(c + 1)])], [(1, [S(c), E(c + 1)])])
+           w(E(c + 1), E(c), S(c + 1)), [(-1, (E(c + 1), S(c)))])
+        eq(f"P6c.slide2.c{c}", w(S(c + 1), E(c), E(c + 1)), w(S(c), E(c + 1)))
         eq(f"P6d.zigzag1.c{c}",
-           [(1, [E(c + 1), E(c), E(c + 1)])], [(-1, [E(c + 1)])])
-        eq(f"P6d.zigzag2.c{c}",
-           [(1, [E(c), E(c + 1), E(c)])], [(-1, [E(c)])])
+           w(E(c + 1), E(c), E(c + 1)), [(-1, (E(c + 1),))])
+        eq(f"P6d.zigzag2.c{c}", w(E(c), E(c + 1), E(c)), [(-1, (E(c),))])
     for a in range(1, d):
         eq(f"P7.cross1.a{a}",
-           [(1, [S(a), Y(a)]), (-1, [Y(a + 1), S(a)])],
-           [(1, [E(a)]), (-1, [])])
+           [(1, (S(a), Y(a))), (-1, (Y(a + 1), S(a)))],
+           [(1, (E(a),)), (-1, ())])
         eq(f"P7.cross2.a{a}",
-           [(1, [Y(a), S(a)]), (-1, [S(a), Y(a + 1)])],
-           [(-1, [E(a)]), (-1, [])])
+           [(1, (Y(a), S(a))), (-1, (S(a), Y(a + 1)))],
+           [(-1, (E(a),)), (-1, ())])
     for a in range(1, d):
         eq(f"P8a.bend_right.a{a}",
-           [(1, [E(a), Y(a)]), (-1, [E(a), Y(a + 1)])], [(1, [E(a)])])
+           [(1, (E(a), Y(a))), (-1, (E(a), Y(a + 1)))], w(E(a)))
         eq(f"P8b.bend_left.a{a}",
-           [(1, [Y(a), E(a)]), (-1, [Y(a + 1), E(a)])], [(-1, [E(a)])])
+           [(1, (Y(a), E(a))), (-1, (Y(a + 1), E(a)))], [(-1, (E(a),))])
+    return rows
+
+
+def _tensor_records(spec, rows):
+    """One record per row: its two sides as exact operators on the tensor
+    space, each summed in one pass by `evaluate_word_sum`."""
+    side = lambda parts: evaluate_word_sum(
+        [(word, coeff) for coeff, word in parts], spec)
+    out = []
+    for name, lhs, rhs in rows:
+        _record(out, name, side(lhs) == side(rhs))
     return out
+
+
+def relations_suite(n, m, d):
+    """All defining relations as exact matrix identities on M (x) V^(x)d."""
+    return _tensor_records(TensorSpaceSpec(n, m, d).validate(), relations(d))
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +162,8 @@ def appendix_suite(n, m, d):
         _record(out, f"VW81.bend_kills.{tag}", epsop.compose(D).is_zero(),
                 f"{base * base} vector pairs")
 
-    for rec in relations_suite(n, m, d):
-        if rec["name"].startswith("P8"):
-            out.append(rec)
-    return out
+    return out + _tensor_records(
+        spec, [row for row in relations(d) if row[0].startswith("P8")])
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +172,18 @@ def appendix_suite(n, m, d):
 
 def jm_suite(n, d):
     """The dot generators acting on the bare tensor power match the
-    combinatorial commuting family, and the pinch identities hold."""
+    combinatorial commuting family, and every defining relation holds in
+    the diagram algebra under pi_0 (y_a goes to z_a)."""
     out = []
     spec = TensorSpaceSpec(n, 0, d)
     for j in range(1, d + 1):
         lhs = evaluate_word([Y(j)], spec)
         rhs = psi_image(jm_element(j, d), n)
         _record(out, f"jm.match.y{j}", lhs == rhs)
-    for i in range(1, d):
-        eps = ADElement.from_diagram(BrauerDiagram.eps_generator(d, i))
-        z = jm_element(i, d)
-        power = ADElement.one(d)
-        for k in range(4):
-            prod = diagram_multiply(diagram_multiply(eps, power), eps)
-            _record(out, f"jm.pinch.i{i}.k{k}", prod.is_zero())
-            power = diagram_multiply(power, z)
+    image = lambda word: pi_m_word(word, d, 0)
+    for name, lhs, rhs in relations(d):
+        _record(out, f"jm.{name}",
+                _agree_under(image, ADElement.zero(d), lhs, rhs))
     return out
 
 
@@ -195,23 +202,10 @@ def daha_suite(d):
     """Images of the defining relations in the polynomial symmetric-group
     normal form, plus vanishing of every bend."""
     out = []
-    one = DahaElement.one(d)
-    for a in range(1, d):
-        for j in range(1, d + 1):
-            if j in (a, a + 1):
-                continue
-            lhs = to_daha([S(a), Y(j)], d)
-            rhs = to_daha([Y(j), S(a)], d)
-            _record(out, f"daha.rel1.far.s{a}.v{j}", lhs == rhs)
-        lhs = to_daha([S(a), Y(a)], d).add(to_daha([Y(a + 1), S(a)], d), -1)
-        _record(out, f"daha.rel2a.s{a}", lhs == one.scaled(-1))
-        lhs = to_daha([S(a), Y(a + 1)], d).add(to_daha([Y(a), S(a)], d), -1)
-        _record(out, f"daha.rel2b.s{a}", lhs == one)
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            lhs = to_daha([Y(i), Y(j)], d)
-            rhs = to_daha([Y(j), Y(i)], d)
-            _record(out, f"daha.rel1.commute.v{i}.v{j}", lhs == rhs)
+    image = lambda word: to_daha(word, d)
+    for name, lhs, rhs in relations(d):
+        _record(out, f"daha.{name}",
+                _agree_under(image, DahaElement.zero(d), lhs, rhs))
     for a in range(1, d):
         _record(out, f"daha.bend_kill.e{a}", to_daha([E(a)], d).is_zero())
         word = [S(a), E(a), Y(a), S(a)]

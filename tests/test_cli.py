@@ -4,6 +4,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from periplectic import verify
 from periplectic.cli import main
 from periplectic.documents import dumps, to_document
 from periplectic.affine import DotDiagram, PdElement, normalize
@@ -89,6 +90,56 @@ def test_verify_rejects_oversized_parameters(runner):
     assert "cap" in res.output
     res = invoke(runner, "verify", "--suite", "pbw", "--max-degree", "5")
     assert res.exit_code != 0
+
+
+def test_verify_daha_checks_every_relation_and_its_bend_kills(runner):
+    res = invoke(runner, "verify", "--suite", "daha", "--d", "2", "--json")
+    assert res.exit_code == 0
+    out = json.loads(res.output)
+    assert out["all_pass"] and out["checks"] == 15
+
+
+@pytest.mark.parametrize("suite", ["relations", "appendix"])
+def test_verify_refuses_a_tensor_space_above_the_bound_at_once(
+        runner, monkeypatch, suite):
+    # (4, 3, 3) is inside every cap, but its space has dimension 8^6
+    def never(*args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(verify.SUITES, suite,
+                        (never, verify.SUITES[suite][1]))
+    res = invoke(runner, "verify", "--suite", suite, "--n", "4", "--m", "3",
+                 "--d", "3")
+    assert res.exit_code == 1
+    assert "dimension (2n)^(m+d) = 262144, above the bound 46656" in res.output
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("n,m,d", [(3, 3, 3), (4, 2, 3), (4, 3, 2)])
+def test_verify_admits_the_spaces_up_to_the_bound(runner, monkeypatch, n, m,
+                                                  d):
+    # the largest admitted spaces take 7 to 15 s, so a stand-in suite runs
+    seen = []
+
+    def stand_in(*args):
+        seen.append(args)
+        return [{"name": "stand_in", "pass": True, "detail": ""}]
+
+    monkeypatch.setitem(verify.SUITES, "relations",
+                        (stand_in, verify.SUITES["relations"][1]))
+    res = invoke(runner, "verify", "--suite", "relations", "--n", str(n),
+                 "--m", str(m), "--d", str(d), "--json")
+    assert res.exit_code == 0, res.output
+    assert seen == [(n, m, d)]
+
+
+def test_verify_jm_is_not_bounded_by_m(runner):
+    # jm acts on V^(x)d alone, so an --m that it ignores refuses nothing
+    res = invoke(runner, "verify", "--suite", "jm", "--n", "4", "--m", "3",
+                 "--d", "3", "--json")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["checks"] == 41
 
 
 def test_verify_pbw_example(runner):
