@@ -106,9 +106,13 @@ class EndoOperator:
     `columns` maps an input basis index to its image, a dict
     {output index: nonzero int or Fraction}; zero columns are left out.  The
     table may be shared with the word-image cache, and one column dict may
-    be shared between cached tables and between the inputs of one table, so
-    both are read-only: no method changes them.  `matrix` is the same
-    operator as a (row, col)-keyed SparseMatrix, built on first use.
+    be shared between cached tables, between the inputs of one table and
+    between operators: a sum (`add`, `evaluate_word_sum`) keeps a column
+    that one term alone writes with coefficient 1 as that term's dict, and
+    makes a new dict only for a column that a second term writes into or
+    that a coefficient other than 1 scales.  So tables and columns are
+    read-only: no method changes them.  `matrix` is the same operator as a
+    (row, col)-keyed SparseMatrix, built on first use.
     """
 
     __slots__ = ("spec", "columns", "_matrix")
@@ -180,12 +184,8 @@ class EndoOperator:
     def add(self, other, scale=1):
         if self.spec.dim != other.spec.dim:
             raise ValueError("shape mismatch")
-        scale = scalar(scale)
-        cols = {j: dict(col) for j, col in self.columns.items()}
-        for j, col in other.columns.items():
-            if not kernels.combine_scaled(cols.setdefault(j, {}), col, scale):
-                del cols[j]
-        return EndoOperator._wrap(self.spec, cols)
+        return EndoOperator._wrap(self.spec, _sum_columns(
+            ((self.columns, 1), (other.columns, scalar(scale)))))
 
     def scaled(self, c):
         c = scalar(c)
@@ -389,6 +389,12 @@ def apply_word_to_vector(word, spec, vec):
 _SUFFIX_DEPTH = 128
 
 
+# 512 images.  An image has up to (2n)^(m+d) columns, so what the bound
+# holds depends on the space: on the soundness benchmark's ten spaces (at
+# most 1,296 columns) a full cache held about 20-30 MB of images
+# (tracemalloc), while at (3, 3, 2), 7,776 columns, one image with a y
+# letter takes up to about 2.9 MB, and criterion 7's words on its eight
+# spaces peaked at about 1,290 MB of RSS.
 @lru_cache(maxsize=512)
 def _evaluate_raw(word, spec):
     """Matrix of the word as column dicts {in: {out: value}} (int/Fraction).
@@ -432,23 +438,52 @@ def evaluate_word(word, spec):
 def evaluate_word_sum(weighted_words, spec):
     """Sum of coeff * Mat(word) over (word, coeff) pairs, as one operator.
 
-    Same result as folding evaluate_word through EndoOperator.add, but the
-    cached raw columns are merged in a single pass, which is what keeps
-    images of long normal forms affordable.
+    Same result as folding evaluate_word through EndoOperator.add: the
+    cached raw columns are merged in a single pass by `_sum_columns`, which
+    copies a cached column only when a second term writes into it or its
+    coefficient is not 1.  A normal form with one term of coefficient 1
+    wraps uncopied columns, like `evaluate_word`; the result is read-only.
     """
     spec.validate()
-    acc = {}
-    for word, coeff in weighted_words:
-        word = tuple(word)
-        check_word(word, spec.d)
-        c = scalar(coeff)
+
+    def terms():
+        for word, coeff in weighted_words:
+            word = tuple(word)
+            check_word(word, spec.d)
+            c = scalar(coeff)
+            if c:
+                yield _evaluate_raw(word, spec), c
+
+    return EndoOperator._wrap(spec, _sum_columns(terms()))
+
+
+def _sum_columns(terms):
+    """Column table of the sum of c * table over (table, c) pairs.
+
+    Copy on write: a column that one term alone writes, with c = 1, is that
+    term's dict, uncopied; with another c it is scaled into a new dict.  The
+    first write of a second term into a shared column copies it, and that
+    private dict takes this and every later write.  Columns that cancel to
+    empty are left out, and so are terms with c = 0.  The result shares
+    columns with the input tables, so it is as read-only as they are.
+    """
+    shared = {}
+    own = {}
+    for table, c in terms:
         if not c:
             continue
-        for t, vec in _evaluate_raw(word, spec).items():
-            tacc = acc.get(t)
+        for t, vec in table.items():
+            tacc = own.get(t)
             if tacc is None:
-                acc[t] = {i: c * v for i, v in vec.items()}
-                continue
+                first = shared.get(t)
+                if first is None:
+                    if c == 1:
+                        shared[t] = vec
+                    else:
+                        own[t] = {i: c * v for i, v in vec.items()}
+                    continue
+                del shared[t]
+                tacc = own[t] = dict(first)
             for i, v in vec.items():
                 w = tacc.get(i)
                 if w is None:
@@ -459,7 +494,8 @@ def evaluate_word_sum(weighted_words, spec):
                         tacc[i] = w
                     else:
                         del tacc[i]
-    return EndoOperator._wrap(spec, {t: col for t, col in acc.items() if col})
+    shared.update((t, col) for t, col in own.items() if col)
+    return shared
 
 
 # ---------------------------------------------------------------------------

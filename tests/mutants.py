@@ -35,6 +35,8 @@ SUBSET = ("tests/test_word_image_oracle.py",
           "tests/test_dot_walk.py", "tests/test_render.py",
           "tests/test_diagram_record.py", "tests/test_documents.py",
           "tests/test_reader_oracles.py", "tests/test_tensoraction.py",
+          "tests/test_operator_columns.py::"
+          "test_sums_share_the_columns_one_term_writes",
           "tests/test_commutant_generators.py::"
           "test_generators_and_cartan_generate_pn")
 TIMEOUT_S = 300
@@ -158,6 +160,10 @@ MUTANTS = (
      'wanted.append(("Y_st", (1, 2)))',
      "pass",
      "the generating set of p(n) misses Y_12, so g_-1 is not generated"),
+    ("sum-adds-into-shared-column", "tensoraction.py",
+     "tacc = own[t] = dict(first)",
+     "tacc = own[t] = first",
+     "the second term of a sum adds into the first term's cached column"),
     ("reduce-scale-pivot-only", "kernels.py",
      "residual = {k: p * v for k, v in residual.items()}",
      "residual = {k: p * v if k == j else v for k, v in residual.items()}",

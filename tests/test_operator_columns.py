@@ -20,6 +20,8 @@ SPACES = (TensorSpaceSpec(2, 0, 2), TensorSpaceSpec(2, 1, 2),
           TensorSpaceSpec(3, 1, 2), TensorSpaceSpec(2, 0, 3))
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# 1 keeps a column shared in a sum, any other value copies it
+coefficients = st.one_of(st.sampled_from([1, -1]), rationals)
 
 
 def letters(d):
@@ -29,7 +31,7 @@ def letters(d):
 
 def weighted(spec):
     word = st.lists(st.sampled_from(letters(spec.d)), max_size=4).map(tuple)
-    return st.lists(st.tuples(word, rationals), min_size=1, max_size=3)
+    return st.lists(st.tuples(word, coefficients), min_size=1, max_size=3)
 
 
 @st.composite
@@ -113,9 +115,32 @@ def test_operations_leave_the_cached_table_unchanged(case, first):
     assert op == twin
     op.matrix.entries[(0, 0)] = Fraction(7)   # the view is a copy
     assert evaluate_word_sum([(word, c)] + pairs, spec) is not None
+    assert evaluate_word_sum([(word, 1), (word, -1)], spec).is_zero()
+    assert evaluate_word_sum([(word, 1), (rest, c)], spec) is not None
     assert _evaluate_raw(word, spec) is table
     assert table == before
     assert rest_table == rest_before
+
+
+@given(weighted_words(), st.sampled_from([(), (S(1),), (E(1),)]))
+@settings(max_examples=30, deadline=None)
+def test_sums_share_the_columns_one_term_writes(case, first):
+    spec, pairs = case
+    a, b = first + pairs[0][0], pairs[-1][0]
+    ta, tb = _evaluate_raw(a, spec), _evaluate_raw(b, spec)
+    one = evaluate_word_sum([(a, 1)], spec).columns
+    assert one == ta and all(one[t] is col for t, col in ta.items())
+    negated = evaluate_word_sum([(a, -1)], spec).columns
+    assert all(negated[t] is not col for t, col in ta.items())
+    for got in (evaluate_word_sum([(a, 1), (b, 1)], spec),
+                evaluate_word(a, spec).add(evaluate_word(b, spec))):
+        assert all(got.columns.values())
+        assert set(got.columns) <= set(ta) | set(tb)
+        for t, col in got.columns.items():
+            if t in ta and t in tb:
+                assert col is not ta[t] and col is not tb[t]
+            else:
+                assert col is ta.get(t, tb.get(t))
 
 
 def test_operator_built_from_fractions_equals_int_columns():
