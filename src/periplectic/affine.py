@@ -15,14 +15,14 @@ The appended-dot mechanics are purely pictorial: an illegal dot, or one that
 blocks a new cup, walks along its strand through the diagram's canonical
 letter word, up or down in one loop (`_journey`).  A crossing lets it pass to
 the other index, a cup or cap turns it around, and each spawns correction
-terms with one dot fewer.  Each walk and each letter appended past a
-blocking dot is expanded once, at coefficient 1, into a bounded cache that
-later calls share.  The engine reads each diagram's canonical word and the
-right ends of its bends from its one cached record, `brauer.diagram_record`.
-Dotless letter words are composed by `brauer.stack_word`, which stacks the
-letters and reads the sign off the paths.  Neither step evaluates a
-representation, so the tensor-space images check the engine from outside,
-in tests and in `verify`.
+terms with one dot fewer.  Each walk, and each letter (y, s or e) appended
+to a monomial, is expanded once, at coefficient 1, into a bounded cache
+that later calls share (`_walk`, `_letter`).  The engine reads each
+diagram's canonical word and the right ends of its bends from its one
+cached record, `brauer.diagram_record`.  Dotless letter words are composed
+by `brauer.stack_word`, which stacks the letters and reads the sign off the
+paths.  Neither step evaluates a representation, so the tensor-space
+images check the engine from outside, in tests and in `verify`.
 
 The engine is the package's only one: the bend-free quotient, the
 degenerate affine Hecke algebra of S_d, is read off the normal form of the
@@ -279,12 +279,12 @@ def _walk_dot(d, top, g, bottom, side, t):
             for g2, c2 in _compose(w2, d).terms.items()] + [landing]
 
 
-# Walks and blocked letters outlive the call that made them: 40,000 rewrite
-# workload operations (random d = 3 words, at most 4 dots) needed 1,506
-# walks and 513 blocked letters, reused 99.5% of the time.  One call must
-# fit, or it walks evicted terms again (2.8 times slower at 16,384): 16
-# dots on d = 3's longest permutation, then s letters, filled up to 34,664
-# walks and 13,717 blocked letters, about 1.3 kB an entry.
+# Walks outlive the call that made them: 40,000 rewrite workload operations
+# (random d = 3 words, at most 4 dots) needed 1,507.  One call must fit, or
+# it walks evicted terms again: 16 dots on d = 3's longest permutation, then
+# s1 s2 s1 s2, filled 27,007 walks (30 MB) in 0.75 s, and nine dots at d = 4
+# (y1^9 after the longest permutation, then s1 s2 s3) 53,696 (48 MB) in 2 s,
+# about 1 kB an entry.
 @lru_cache(maxsize=65536)
 def _walk(d, top, g, bottom):
     """y^top . g . y^bottom as regular monomials, {monomial: coefficient}.
@@ -304,53 +304,54 @@ def _walk(d, top, g, bottom):
     return out
 
 
-def _append_letter(d, top, g, bottom, tok, coeff, out):
-    """Accumulate coeff * y^top . g . y^bottom . tok for an S or E token.
+# One entry per letter appended to a monomial; a y letter's entry, and an s
+# or e letter's whose product has sign 1, is its walk's own dict.  The
+# rewrite workload's 40,000 operations needed 3,233, reused 99.2% of the
+# time.  Cold, d = 3's longest permutation, 16 dots, then s1 s2 s1 s2
+# fills 30,226 (0.75 s; 0.92 s at 16,384, missing 46,635 times) and the
+# nine dots at d = 4 above 68,649 (2.0 s at any bound from 16,384: few are
+# reused).  After those two and s1*y1^80*s1^3 at d = 2 the cache held
+# 17 MB, peak RSS 117 MB (38 and 135 MB at 65,536).
+@lru_cache(maxsize=32768)
+def _letter(d, top, g, bottom, tok):
+    """y^top . g . y^bottom . tok as regular monomials, {monomial:
+    coefficient}, cached and shared like `_walk`'s.
 
-    Bottom dots at the token's two positions are in the way; a crossing lets
-    them through directly, while for a new cup the blocking dot is walked up
-    along its strand until the zone is clear.  With the zone clear, the
-    dotless letters compose by stacking (`_compose`) and the surviving
-    dots are re-legalized against the composite diagram.  A blocked product
-    is linear in coeff, so like a walk it is expanded once at coefficient 1
-    (`_blocked_letter`, cached) and scaled.
+    A y letter is one more bottom dot, walked.  Bottom dots at an s or e
+    letter's two positions are in the way: a crossing lets them through,
+    and a new cup's blocking dot is walked up its strand out of the zone.
+    With the zone clear, the letters compose by stacking (`_compose`) and
+    the dots are re-legalized against the composite diagram.
     """
     a = tok.index
+    if tok.kind == "Y":
+        return _walk(d, top, g, _bump(bottom, a))
     if tok.kind == "E" and g.partner(-a) == -(a + 1):
         # the new cup meets this cap in a closed loop; any dots caught
         # between the two bends are killed as well
-        return
+        return {}
+    out = {}
     if not (bottom[a - 1] or bottom[a]):
         word = diagram_record(g).word + (tok,)
         for g2, c2 in _compose(word, d).terms.items():
-            combine_scaled(out, _walk(d, top, g2, bottom), coeff * c2)
-        return
-    combine_scaled(out, _blocked_letter(d, top, g, bottom, tok), coeff)
-
-
-@lru_cache(maxsize=16384)    # bound: see `_walk`
-def _blocked_letter(d, top, g, bottom, tok):
-    """y^top . g . y^bottom . tok as regular monomials, {monomial:
-    coefficient}, when a bottom dot sits at one of the token's positions;
-    cached and shared like `_walk`'s."""
-    out = {}
-    a = tok.index
+            if c2 == 1:    # the one term: share the walk's dict
+                return _walk(d, top, g2, bottom)
+            combine_scaled(out, _walk(d, top, g2, bottom), c2)
+        return out
     t = a + 1 if bottom[a] else a
     if tok.kind == "S":
         # the dot passes straight through the new crossing
         rest = _bump(bottom, t, -1)
         t2 = a + 1 if t == a else a
-        tmp = {}
-        _append_letter(d, top, g, rest, tok, 1, tmp)
-        for dd, c in tmp.items():
+        for dd, c in _letter(d, top, g, rest, tok).items():
             combine_scaled(out, _walk(d, dd.top_dots, dd.diagram,
                                       _bump(dd.bottom_dots, t2)), c)
-        _append_letter(d, top, g, rest, E(a), -1, out)
+        combine_scaled(out, _letter(d, top, g, rest, E(a)), -1)
         combine_scaled(out, _walk(d, top, g, rest), -1 if t == a else 1)
         return out
     # new cup: walk the blocking dot out of the zone (the last term lands it)
     for top2, g2, bottom2, c in _walk_dot(d, top, g, bottom, "bottom", t):
-        _append_letter(d, top2, g2, bottom2, tok, c, out)
+        combine_scaled(out, _letter(d, top2, g2, bottom2, tok), c)
     assert bottom2[a - 1] + bottom2[a] < bottom[a - 1] + bottom[a], (
         "walked dot must leave the cup zone")
     return out
@@ -361,12 +362,8 @@ def _append_word(d, terms, word):
     for tok in word:
         nxt = {}
         for dd, c in terms.items():
-            top, g, bottom = dd.top_dots, dd.diagram, dd.bottom_dots
-            if tok.kind == "Y":
-                bottom = _bump(bottom, tok.index)
-                combine_scaled(nxt, _walk(d, top, g, bottom), c)
-            else:
-                _append_letter(d, top, g, bottom, tok, c, nxt)
+            combine_scaled(nxt, _letter(d, dd.top_dots, dd.diagram,
+                                        dd.bottom_dots, tok), c)
         terms = nxt
         if not terms:
             break
@@ -437,10 +434,10 @@ def pi_m(x, m):
     """The shift-m quotient map onto the diagram algebra on m+d strands."""
     if not isinstance(x, PdElement):
         raise TypeError("pi_m expects a PdElement")
-    out = ADElement.zero(m + x.d)
+    acc = {}
     for u, c in x.terms.items():
-        out = out.add(pi_m_word(word_expansion(u), x.d, m), c)
-    return out
+        combine_scaled(acc, pi_m_word(word_expansion(u), x.d, m).terms, c)
+    return ADElement(m + x.d, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +479,10 @@ def to_daha(x, d=None):
     so the terms with a cup are dropped after each letter appended.
     """
     if isinstance(x, PdElement):
-        out = DahaElement.zero(x.d)
+        acc = {}
         for u, c in x.terms.items():
-            out = out.add(to_daha(word_expansion(u), x.d), c)
-        return out
+            combine_scaled(acc, to_daha(word_expansion(u), x.d).terms, c)
+        return DahaElement(x.d, acc)
     if d is None:
         raise ValueError("to_daha needs d for a word input")
     word = tuple(x)

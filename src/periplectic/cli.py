@@ -12,6 +12,7 @@ import sys
 import click
 
 from . import affine, brauer, documents, render, verify, wordparse
+from .kernels import combine_scaled
 
 
 def _echo_doc(x, as_json):
@@ -94,10 +95,10 @@ def normalize(d, as_json, expression):
         parsed = wordparse.parse_expression(expression, d)
     except wordparse.WordParseError as exc:
         raise click.ClickException(str(exc))
-    acc = affine.PdElement.zero(d)
+    acc = {}
     for coeff, word in parsed:
-        acc = acc.add(affine.normalize(list(word), d).scaled(coeff))
-    _echo_doc(acc, as_json)
+        combine_scaled(acc, affine.normalize(list(word), d).terms, coeff)
+    _echo_doc(affine.PdElement(d, acc), as_json)
 
 
 def _check_product_work(xa, xb, algebra):

@@ -172,8 +172,8 @@ class EndoOperator:
     def compose(self, other):
         """self after other (usual operator composition): column c is self
         applied to column c of other."""
-        if self.spec.dim != other.spec.dim:
-            raise ValueError("shape mismatch")
+        if self.spec != other.spec:   # not only the dimension
+            raise ValueError(f"operators on {self.spec} and {other.spec}")
         cols = {}
         for j, col in other.columns.items():
             image = self.apply_dict(col)
@@ -182,8 +182,8 @@ class EndoOperator:
         return EndoOperator._wrap(self.spec, cols)
 
     def add(self, other, scale=1):
-        if self.spec.dim != other.spec.dim:
-            raise ValueError("shape mismatch")
+        if self.spec != other.spec:   # not only the dimension
+            raise ValueError(f"operators on {self.spec} and {other.spec}")
         return EndoOperator._wrap(self.spec, _sum_columns(
             ((self.columns, 1), (other.columns, scalar(scale)))))
 
@@ -541,14 +541,14 @@ def g_action(x, spec, slots=None):
     return EndoOperator._wrap(spec, cols)
 
 
-def check_equivariance(op, spec=None):
+def check_equivariance(op):
     """True iff op commutes with the action of p(n).
 
     It checks the 2n generators of `pn_generators` and the n diagonal E_ss:
     the elements whose action commutes with op form a sub-superalgebra, and
     these generate p(n), so commuting with them is commuting with all of it.
     """
-    spec = spec or op.spec
+    spec = op.spec
     for pair in pn_generators(spec.n, with_cartan=True):
         rho = g_action(pair.basis_element, spec)
         if op.compose(rho) != rho.compose(op):

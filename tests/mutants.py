@@ -87,6 +87,14 @@ MUTANTS = (
      "combine_scaled(out, _walk(d, top, g, rest), 1 if t == a else -1)",
      "a dot passing a new crossing leaves its dropped term with the "
      "other sign"),
+    ("letter-loop-top-row", "affine.py",
+     "g.partner(-a) == -(a + 1)",
+     "g.partner(a) == a + 1",
+     "an e letter's closed-loop test reads the top row, not the bottom"),
+    ("letter-y-on-top", "affine.py",
+     "return _walk(d, top, g, _bump(bottom, a))",
+     "return _walk(d, _bump(top, a), g, bottom)",
+     "an appended y letter lands on the top row, not the bottom"),
     ("illegal-dot-cap-test", "affine.py",
      "if c and t not in cap_ends:",
      "if c and t in cap_ends:",

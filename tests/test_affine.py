@@ -322,24 +322,25 @@ def test_pbw_rank_small(d, max_degree, n, count):
 # The longest d = 3 permutation, k dots spread over the strands, then
 # s1 s2 s1 s2: before blocked letters were cached, the letter recursion made
 # 1,346 / 93,125 / 516,025 calls at k = 6 / 12 / 14, about 2.2 times more
-# per added dot.  Cached, the count grows like k^4.  The walk and blocked
-# letter caches outlive a call, so each k starts them empty: a cold walk.
+# per added dot.  Cached, the count grows like k^4.  Every letter, y, s or
+# e, is one `_letter` call, cached or not.  The walk and letter caches
+# outlive a call, so each k starts them empty: a cold walk.
 def test_blocked_letters_grow_polynomially_with_the_dots(monkeypatch):
     calls = []
-    inner = affine._append_letter
+    inner = affine._letter
 
     def counted(*args):
         calls.append(None)
         return inner(*args)
 
-    monkeypatch.setattr(affine, "_append_letter", counted)
+    monkeypatch.setattr(affine, "_letter", counted)
     counts = {}
     for k in (6, 9, 12):
         word = ((S(1), S(2), S(1)) + tuple(Y(i % 3 + 1) for i in range(k))
                 + (S(1), S(2), S(1), S(2)))
         calls.clear()
         affine._walk.cache_clear()
-        affine._blocked_letter.cache_clear()
+        inner.cache_clear()
         # past the normalize cache, so every letter is appended here
         x = affine._normalize_cached.__wrapped__(word, 3)
         counts[k] = len(calls)

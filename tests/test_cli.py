@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -63,6 +64,17 @@ def test_normalize_scaled_expression(runner):
     doc = json.loads(res.output)
     assert doc["terms"][0]["coeff"] == "1/2"
     assert doc["terms"][0]["top_dots"] == [2, 0]
+
+
+def test_normalize_sums_many_terms_into_the_same_bytes(runner):
+    # the 861 monomials y1^i * y2^j, i + j <= 40, each its own summand
+    terms = ["*".join([f"y1^{i}"] * bool(i) + [f"y2^{j}"] * bool(j)) or "1"
+             for i in range(41) for j in range(41 - i)]
+    res = invoke(runner, "normalize", "--d", "2", "--json", " + ".join(terms))
+    assert res.exit_code == 0
+    assert len(json.loads(res.output)["terms"]) == 861
+    assert hashlib.sha256(res.output.encode()).hexdigest() == (
+        "74045a7d80b52c6c3653b3ead41e20940eba1c002e9261ac8be643f307578641")
 
 
 def test_verify_relations_all_pass(runner):

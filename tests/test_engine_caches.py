@@ -1,6 +1,6 @@
 """The rewriting engine's caches outlive a call without changing its answers.
 
-`affine._walk` and `affine._blocked_letter` keep their expansions at
+`affine._walk` and `affine._letter` keep their expansions at
 coefficient 1 across normalize and multiply calls, and hand the same dict
 to every caller.  Whatever an earlier, unrelated batch left in them, the
 normal forms, products and quotient images must equal those computed from
@@ -16,7 +16,7 @@ from periplectic import affine, brauer
 from periplectic.affine import multiply, normalize, to_daha
 from periplectic.tensoraction import E, S, Y
 
-ENGINE_CACHES = (affine._walk, affine._blocked_letter,
+ENGINE_CACHES = (affine._walk, affine._letter,
                  affine._normalize_cached, affine._compose,
                  brauer.diagram_record)
 
@@ -94,15 +94,15 @@ def test_cached_expansions_are_never_written(monkeypatch):
         return lru_cache(maxsize=None)(inner)
 
     monkeypatch.setattr(affine, "_walk", recording(affine._walk.__wrapped__))
-    monkeypatch.setattr(affine, "_blocked_letter",
-                        recording(affine._blocked_letter.__wrapped__))
+    monkeypatch.setattr(affine, "_letter",
+                        recording(affine._letter.__wrapped__))
     affine._normalize_cached.cache_clear()
     try:
         for d in (2, 3, 4):
             unrelated_batch(d, 3700 + d)
     finally:
         affine._normalize_cached.cache_clear()
-    assert {name for name, _, _ in made} == {"_walk", "_blocked_letter"}
+    assert {name for name, _, _ in made} == {"_walk", "_letter"}
     for name, out, snapshot in made:
         assert out == snapshot, name
 
@@ -115,9 +115,8 @@ def test_an_eviction_inside_one_call_changes_no_output(monkeypatch):
     want = [normalize(w, 3) for w in words]
     monkeypatch.setattr(affine, "_walk",
                         lru_cache(maxsize=4)(affine._walk.__wrapped__))
-    monkeypatch.setattr(affine, "_blocked_letter",
-                        lru_cache(maxsize=2)(
-                            affine._blocked_letter.__wrapped__))
+    monkeypatch.setattr(affine, "_letter",
+                        lru_cache(maxsize=2)(affine._letter.__wrapped__))
     affine._normalize_cached.cache_clear()
     try:
         assert [normalize(w, 3) for w in words] == want

@@ -129,7 +129,7 @@ def test_walk_monomials_equal_validated_ones():
 
 def test_every_engine_cache_has_its_stated_bound():
     bounds = {affine._normalize_cached: 8192, affine._compose: 2048,
-              affine._walk: 65536, affine._blocked_letter: 16384,
+              affine._walk: 65536, affine._letter: 32768,
               affine.PdElement.one: 8,
               brauer.diagram_record: 2048, brauer.enumerate_diagrams: 8,
               tensoraction._op_columns_cached: 256,

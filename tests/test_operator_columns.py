@@ -9,6 +9,7 @@ held in a `SparseMatrix`.
 import copy
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from periplectic.exactla import SparseMatrix, mat_mul
@@ -155,3 +156,17 @@ def test_operator_built_from_fractions_equals_int_columns():
     assert op.add(op, -1) == EndoOperator.zero(spec)
     assert op.scaled(Fraction(1, 2)).add(op, Fraction(1, 2)) == op
     assert op.scaled(0).is_zero()
+
+
+def test_operators_on_two_spaces_of_one_dimension_do_not_mix():
+    # (2, 0, 2) and (2, 1, 1) both have dimension 16
+    a = evaluate_word([S(1)], TensorSpaceSpec(2, 0, 2))
+    b = evaluate_word([Y(1)], TensorSpaceSpec(2, 1, 1))
+    assert a.spec.dim == b.spec.dim == 16
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(ValueError):
+            left.add(right)
+        with pytest.raises(ValueError):
+            left.compose(right)
+    assert a.compose(a) == EndoOperator.identity(a.spec)
+    assert b.add(b, -1).is_zero()
