@@ -19,8 +19,9 @@ signs are read off the representation's conventions, not derived from
 that category.
 `diagram_of_word` computes the same through the faithful representation at
 n = d, read back at one coordinate per diagram, its witness, where the
-diagram's own image is +-1 and every other diagram's image is 0; it is the
-oracle the stacking rule is tested against.
+diagram's own image is +-1 and every other diagram's image is 0; it runs the
+word on the witnesses' distinct inputs only (10 basis vectors at d = 4, of
+4,096), and it is the oracle the stacking rule is tested against.
 
 Words multiply by stacking: in a product x*y the x-word sits on top.  Under
 the right-action convention the matrix of x*y is Mat(y) . Mat(x).
@@ -32,10 +33,12 @@ from typing import NamedTuple
 
 from . import tensoraction
 from .exactla import Combination
-# unused here; perfbench/tracer.py wraps brauer.mat_mul by name
+# unused here; perfbench/tracer.py wraps brauer.mat_mul and
+# brauer.evaluate_word by name
 from .exactla import mat_mul  # noqa: F401
 from .kernels import combine_scaled
-from .tensoraction import E, S, TensorSpaceSpec, check_word, evaluate_word
+from .tensoraction import E, S, TensorSpaceSpec, check_word
+from .tensoraction import evaluate_word  # noqa: F401
 
 
 class BrauerDiagram:
@@ -451,12 +454,22 @@ def psi_image(x, n):
 
 def diagram_of_word(word, d):
     """Resolve a dotless S/E word through its image at n = d, read at the
-    witnesses: the oracle of `stack_word`, on up to four strands."""
+    witnesses: the oracle of `stack_word`, on up to four strands.
+
+    The word runs on each distinct witness input alone, 10 of the 4,096
+    basis vectors at d = 4, once per input; no image of it is built or
+    cached.
+    """
     if d > 4:
         raise ValueError(f"diagram_of_word evaluates on (2d)^d dimensions; "
                          f"d={d} is above its 4")
-    cols = evaluate_word(word, TensorSpaceSpec(d, 0, d)).columns
-    return _read_diagrams(d, cols.get)
+    spec = TensorSpaceSpec(d, 0, d).validate()
+    word = tuple(word)
+    check_word(word, d)
+    inputs = {i for _g, i, _o, _v in _witnesses(d)}
+    images = {i: tensoraction.apply_word_to_vector(word, spec, {i: 1})
+              for i in inputs}
+    return _read_diagrams(d, images.get)
 
 
 def jm_element(j, d):

@@ -38,7 +38,8 @@ SUBSET = ("tests/test_word_image_oracle.py",
           "tests/test_operator_columns.py::"
           "test_sums_share_the_columns_one_term_writes",
           "tests/test_commutant_generators.py::"
-          "test_generators_and_cartan_generate_pn")
+          "test_generators_and_cartan_generate_pn",
+          "tests/test_witness_route.py")
 TIMEOUT_S = 300
 
 # (name, file under src/periplectic, exact snippet, replacement, what the
@@ -66,6 +67,14 @@ MUTANTS = (
      "    if -1 in parity:\n        return None\n",
      "",
      "a closed loop no longer gives 0"),
+    ("route-reads-first-input", "brauer.py",
+     "return _read_diagrams(d, images.get)",
+     "return _read_diagrams(d, lambda i: next(iter(images.values())))",
+     "diagram_of_word reads every witness at the image of one input"),
+    ("route-runs-outputs", "brauer.py",
+     "inputs = {i for _g, i, _o, _v in _witnesses(d)}",
+     "inputs = {o for _g, _i, o, _v in _witnesses(d)}",
+     "diagram_of_word runs its word on the witnesses' output coordinates"),
     ("journey-step-sign", "affine.py",
      "corr.append((-step, word[:at] + (E(b),) + word[at + 1:]))",
      "corr.append((step, word[:at] + (E(b),) + word[at + 1:]))",
