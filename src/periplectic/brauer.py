@@ -403,8 +403,13 @@ def multiply(x, y):
 # representation oracle
 # ---------------------------------------------------------------------------
 
+class _Witnesses(tuple):
+    """The (g, input, output, value) records of `_witnesses`, in diagram
+    order; `by_input` groups them as input -> ((g, output, value), ...)."""
+
+
 # One entry per strand count up to `diagram_of_word`'s four, each (2d - 1)!!
-# witnesses: 105 at d = 4.
+# witnesses: 105 at d = 4, on 10 distinct inputs.
 @lru_cache(maxsize=4)
 def _witnesses(d):
     """(g, input, output, value) for every diagram g on d strands.
@@ -419,7 +424,7 @@ def _witnesses(d):
     """
     n = d
     spec = TensorSpaceSpec(n, 0, d)
-    out = []
+    out, by_input = [], {}
     for g in enumerate_diagrams(d):
         inp, outp = [0] * d, [0] * d
         for k, (a, b) in enumerate(g.matching):
@@ -430,18 +435,25 @@ def _witnesses(d):
         value = tensoraction.apply_word_to_vector(
             canonical_word(g), spec, {i: 1})[o]
         out.append((g, i, o, value))
-    return tuple(out)
+        by_input.setdefault(i, []).append((g, o, value))
+    witnesses = _Witnesses(out)
+    witnesses.by_input = {i: tuple(rows) for i, rows in by_input.items()}
+    return witnesses
 
 
 def _read_diagrams(d, column):
     """The ADElement whose image at n = d has the columns `column(input)`,
-    for an operator in the span of the diagram images."""
+    for an operator in the span of the diagram images; `column` is called
+    once for each distinct witness input."""
     terms = {}
-    for g, i, o, value in _witnesses(d):
-        v = (column(i) or {}).get(o)
-        if v:
-            # value is +-1, so dividing by it is multiplying by it
-            terms[g] = v * value
+    for i, rows in _witnesses(d).by_input.items():
+        col = column(i)
+        if col:
+            for g, o, value in rows:
+                v = col.get(o)
+                if v:
+                    # value is +-1, so dividing by it is multiplying by it
+                    terms[g] = v * value
     return ADElement(d, terms)
 
 
@@ -457,8 +469,9 @@ def diagram_of_word(word, d):
     witnesses: the oracle of `stack_word`, on up to four strands.
 
     The word runs on each distinct witness input alone, 10 of the 4,096
-    basis vectors at d = 4, once per input; no image of it is built or
-    cached.
+    basis vectors at d = 4, once per input, and `_read_diagrams` reads each
+    result at that input's witnesses as it comes; no image of the word is
+    built or cached.
     """
     if d > 4:
         raise ValueError(f"diagram_of_word evaluates on (2d)^d dimensions; "
@@ -466,10 +479,8 @@ def diagram_of_word(word, d):
     spec = TensorSpaceSpec(d, 0, d).validate()
     word = tuple(word)
     check_word(word, d)
-    inputs = {i for _g, i, _o, _v in _witnesses(d)}
-    images = {i: tensoraction.apply_word_to_vector(word, spec, {i: 1})
-              for i in inputs}
-    return _read_diagrams(d, images.get)
+    return _read_diagrams(d, lambda i: tensoraction.apply_word_to_vector(
+        word, spec, {i: 1}))
 
 
 def jm_element(j, d):

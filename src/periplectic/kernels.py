@@ -61,7 +61,9 @@ def prepend_columns(cols, image):
     result shares what it can: a single entry of coefficient 1 keeps that
     column of ``image`` itself, uncopied, and a column list that several
     inputs share in ``cols`` is combined once, into one dict that all of
-    them keep.  So the result's columns are read-only.
+    them keep.  A column of several entries starts from a copy of its first
+    nonzero source, made by `dict` or by one scaled comprehension, and adds
+    the others into it.  So the result's columns are read-only.
     """
     out = {}
     made = {}       # id of a list combined before -> its dict
@@ -75,11 +77,17 @@ def prepend_columns(cols, image):
             continue
         vec = made.get(id(col))
         if vec is None:
-            vec = made[id(col)] = {}
+            vec = {}
             for i, a in col:
                 src = get(i)
-                if src:
+                if not src:
+                    continue
+                if vec:
                     combine_scaled(vec, src, a)
+                else:
+                    vec = (dict(src) if a == 1
+                           else {k: a * v for k, v in src.items()})
+            made[id(col)] = vec
         if vec:
             out[t] = vec
     return out

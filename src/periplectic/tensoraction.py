@@ -23,8 +23,10 @@ Conventions, fixed once here and relied on everywhere else:
   restricted to one slot (or to the module block) is Omega.
 """
 
+from collections import OrderedDict
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
+from itertools import chain
 from typing import NamedTuple
 
 from . import kernels
@@ -389,13 +391,82 @@ def apply_word_to_vector(word, spec, vec):
 _SUFFIX_DEPTH = 128
 
 
-# 512 images.  An image has up to (2n)^(m+d) columns, so what the bound
-# holds depends on the space: on the soundness benchmark's ten spaces (at
-# most 1,296 columns) a full cache held about 20-30 MB of images
-# (tracemalloc), while at (3, 3, 2), 7,776 columns, one image with a y
-# letter takes up to about 2.9 MB, and criterion 7's words on its eight
-# spaces peaked at about 1,290 MB of RSS.
-@lru_cache(maxsize=512)
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _SegmentedLRU:
+    """The word-image cache: at most _IMAGE_CACHE_SIZE of fn's results, in
+    two segments, keeping what is looked up twice.
+
+    A first lookup puts the result in the probation segment, which holds
+    _PROBATION_SIZE; a hit there moves it to the protected segment, which
+    holds the rest.  When protected outgrows its share, its oldest entry
+    goes back to the newest end of probation, and when probation outgrows
+    its own, its oldest entry is dropped.  So a run of one-off keys cycles
+    through probation and leaves the protected entries alone.  `cache_info`
+    and `cache_clear` are those of `functools.lru_cache`.  fn never returns
+    None, and it may look up other keys while it computes one.
+    """
+
+    def __init__(self, fn):
+        update_wrapper(self, fn)
+        self.probation = OrderedDict()      # oldest first
+        self.protected = OrderedDict()
+        self.hits = self.misses = 0
+
+    def __call__(self, *key):
+        protected = self.protected
+        value = protected.get(key)
+        if value is not None:
+            protected.move_to_end(key)
+            self.hits += 1
+            return value
+        probation = self.probation
+        value = probation.pop(key, None)
+        if value is None:
+            self.misses += 1
+            value = probation[key] = self.__wrapped__(*key)
+            if len(probation) > _PROBATION_SIZE:
+                probation.popitem(last=False)
+            return value
+        self.hits += 1
+        protected[key] = value
+        if len(protected) > _IMAGE_CACHE_SIZE - _PROBATION_SIZE:
+            old, image = protected.popitem(last=False)
+            probation[old] = image
+        return value
+
+    def cache_info(self):
+        return CacheInfo(self.hits, self.misses, _IMAGE_CACHE_SIZE,
+                         len(self.probation) + len(self.protected))
+
+    def cache_clear(self):
+        self.probation.clear()
+        self.protected.clear()
+        self.hits = self.misses = 0
+
+
+# 512 images, of which up to 64 seen once wait in probation.  An image has
+# up to (2n)^(m+d) columns, so what the bound holds depends on the space:
+# on the soundness benchmark's ten spaces (at most 1,296 columns) a full
+# cache held about 20-30 MB of images (tracemalloc), while at (3, 3, 2),
+# 7,776 columns, one image with a y letter takes up to about 2.9 MB, and
+# criterion 7's words on its eight spaces peaked at 985 MB of RSS (1,308 MB
+# with one plain 512-entry LRU).  That plain LRU lost the suffixes that
+# recur, pushed out by words met once: of 6,347 distinct (word, space)
+# lookups on 15,000 soundness operations (seed 7), 4,111 came once.  On
+# those operations, in process, probation shares of 32, 64 and 128 took
+# 8.8, 8.2 and 8.9 s (22,737, 21,800 and 22,264 misses), against 11.7 s
+# (28,064 misses) for the plain LRU.
+_IMAGE_CACHE_SIZE = 512
+_PROBATION_SIZE = 64
+
+
+@_SegmentedLRU
 def _evaluate_raw(word, spec):
     """Matrix of the word as column dicts {in: {out: value}} (int/Fraction).
 
@@ -438,11 +509,13 @@ def evaluate_word(word, spec):
 def evaluate_word_sum(weighted_words, spec):
     """Sum of coeff * Mat(word) over (word, coeff) pairs, as one operator.
 
-    Same result as folding evaluate_word through EndoOperator.add: the
-    cached raw columns are merged in a single pass by `_sum_columns`, which
-    copies a cached column only when a second term writes into it or its
-    coefficient is not 1.  A normal form with one term of coefficient 1
-    wraps uncopied columns, like `evaluate_word`; the result is read-only.
+    Same result as folding evaluate_word through EndoOperator.add.  A sum
+    of one term with coefficient 1 wraps that word's cached table as it is,
+    like `evaluate_word`; about half of the soundness check's normal forms
+    are such a term.  Otherwise the cached raw columns are merged in a
+    single pass by `_sum_columns`, which copies a cached column only when a
+    second term writes into it or its coefficient is not 1.  Either way the
+    result is read-only.
     """
     spec.validate()
 
@@ -454,7 +527,12 @@ def evaluate_word_sum(weighted_words, spec):
             if c:
                 yield _evaluate_raw(word, spec), c
 
-    return EndoOperator._wrap(spec, _sum_columns(terms()))
+    rest = terms()
+    first, second = next(rest, None), next(rest, None)
+    if second is None and first is not None and first[1] == 1:
+        return EndoOperator._wrap(spec, first[0])
+    return EndoOperator._wrap(spec, _sum_columns(
+        chain(filter(None, (first, second)), rest)))
 
 
 def _sum_columns(terms):

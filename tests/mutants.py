@@ -39,7 +39,7 @@ SUBSET = ("tests/test_word_image_oracle.py",
           "test_sums_share_the_columns_one_term_writes",
           "tests/test_commutant_generators.py::"
           "test_generators_and_cartan_generate_pn",
-          "tests/test_witness_route.py")
+          "tests/test_image_cache.py", "tests/test_witness_route.py")
 TIMEOUT_S = 300
 
 # (name, file under src/periplectic, exact snippet, replacement, what the
@@ -68,13 +68,14 @@ MUTANTS = (
      "",
      "a closed loop no longer gives 0"),
     ("route-reads-first-input", "brauer.py",
-     "return _read_diagrams(d, images.get)",
-     "return _read_diagrams(d, lambda i: next(iter(images.values())))",
+     "word, spec, {i: 1}))",
+     "word, spec, {next(iter(_witnesses(d).by_input)): 1}))",
      "diagram_of_word reads every witness at the image of one input"),
     ("route-runs-outputs", "brauer.py",
-     "inputs = {i for _g, i, _o, _v in _witnesses(d)}",
-     "inputs = {o for _g, _i, o, _v in _witnesses(d)}",
-     "diagram_of_word runs its word on the witnesses' output coordinates"),
+     "by_input.setdefault(i, []).append((g, o, value))",
+     "by_input.setdefault(o, []).append((g, i, value))",
+     "the witnesses are grouped by output, so a word runs on the output "
+     "coordinates and is read at the inputs"),
     ("journey-step-sign", "affine.py",
      "corr.append((-step, word[:at] + (E(b),) + word[at + 1:]))",
      "corr.append((step, word[:at] + (E(b),) + word[at + 1:]))",
@@ -156,6 +157,11 @@ MUTANTS = (
      "vec if a == 1 else {k: a * v for k, v in vec.items()}",
      "vec",
      "an S letter's -1 entry shares the rest's column without negating it"),
+    ("prepend-first-shared", "kernels.py",
+     "vec = (dict(src) if a == 1",
+     "vec = (src if a == 1",
+     "a column of several entries adds the others into its first source, "
+     "a column of the rest's cached image"),
     ("e-rest-one-side", "tensoraction.py",
      "rest = (tuple(dg[:p]), tuple(dg[q + 1:]))",
      "rest = tuple(dg[:p])",
@@ -177,6 +183,16 @@ MUTANTS = (
      'wanted.append(("Y_st", (1, 2)))',
      "pass",
      "the generating set of p(n) misses Y_12, so g_-1 is not generated"),
+    ("image-cache-no-promotion", "tensoraction.py",
+     "protected[key] = value",
+     "probation[key] = value",
+     "a word-image hit in probation stays there, so one-off words push "
+     "out the images that recur"),
+    ("image-cache-unbounded", "tensoraction.py",
+     "if len(protected) > _IMAGE_CACHE_SIZE - _PROBATION_SIZE:",
+     "if False:",
+     "the protected segment of the word-image cache is never demoted, so "
+     "it outgrows the bound"),
     ("sum-adds-into-shared-column", "tensoraction.py",
      "tacc = own[t] = dict(first)",
      "tacc = own[t] = first",

@@ -131,6 +131,7 @@ def test_sums_share_the_columns_one_term_writes(case, first):
     ta, tb = _evaluate_raw(a, spec), _evaluate_raw(b, spec)
     one = evaluate_word_sum([(a, 1)], spec).columns
     assert one == ta and all(one[t] is col for t, col in ta.items())
+    assert one is _evaluate_raw(a, spec)
     negated = evaluate_word_sum([(a, -1)], spec).columns
     assert all(negated[t] is not col for t, col in ta.items())
     for got in (evaluate_word_sum([(a, 1), (b, 1)], spec),
