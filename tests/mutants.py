@@ -39,7 +39,15 @@ SUBSET = ("tests/test_word_image_oracle.py",
           "test_sums_share_the_columns_one_term_writes",
           "tests/test_commutant_generators.py::"
           "test_generators_and_cartan_generate_pn",
-          "tests/test_image_cache.py", "tests/test_witness_route.py")
+          "tests/test_image_cache.py",
+          "tests/test_commutant_generators.py::"
+          "test_tied_rows_have_the_kernel_of_the_raw_rows",
+          "tests/test_commutant_generators.py::test_ties_store_their_signs",
+          "tests/test_commutant_generators.py::"
+          "test_a_cycle_of_conflicting_signs_forces_its_class_to_zero",
+          "tests/test_commutant_generators.py::"
+          "test_two_terms_of_different_sizes_go_to_the_echelon",
+          "tests/test_witness_route.py")
 TIMEOUT_S = 300
 
 # (name, file under src/periplectic, exact snippet, replacement, what the
@@ -197,6 +205,14 @@ MUTANTS = (
      "tacc = own[t] = dict(first)",
      "tacc = own[t] = first",
      "the second term of a sum adds into the first term's cached column"),
+    ("tie-sign-dropped", "tensoraction.py",
+     "parent[rx], sign[rx] = ry, s",
+     "parent[rx], sign[rx] = ry, 1",
+     "a commutant equation x = -y ties x to y with the sign +1"),
+    ("tie-conflict-dropped", "tensoraction.py",
+     "out = [{r: 1} for r in {find(r) for r in conflicts}]",
+     "out = []",
+     "a cycle of ties with conflicting signs leaves its class free"),
     ("reduce-scale-pivot-only", "kernels.py",
      "residual = {k: p * v for k, v in residual.items()}",
      "residual = {k: p * v if k == j else v for k, v in residual.items()}",

@@ -8,11 +8,15 @@ one.  The walk itself is compared with the Fraction walk it replaced in
 walk builds unvalidated, and the bounds on the engine's caches.
 """
 
+import importlib
+import inspect
+import pkgutil
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import periplectic
 from periplectic import affine, brauer, documents, tensoraction
 from periplectic.affine import (DahaElement, DotDiagram, PdElement,
                                 enumerate_regular, multiply, normalize,
@@ -127,13 +131,35 @@ def test_walk_monomials_equal_validated_ones():
             assert all(type(t) is int for t in u.top_dots + u.bottom_dots)
 
 
+def _package_caches():
+    """Every object with a `cache_info` in the package: module functions
+    and the methods (plain, class or static) of the classes defined there."""
+    found = set()
+    for info in pkgutil.iter_modules(periplectic.__path__):
+        module = importlib.import_module(f"periplectic.{info.name}")
+        for obj in vars(module).values():
+            if not inspect.isclass(obj):
+                members = [obj]
+            elif obj.__module__ == module.__name__:
+                members = [getattr(a, "__func__", a)
+                           for a in vars(obj).values()]
+            else:
+                continue
+            found.update(f for f in members if not inspect.isclass(f)
+                         and hasattr(f, "cache_info"))
+    return found
+
+
 def test_every_engine_cache_has_its_stated_bound():
     bounds = {affine._normalize_cached: 8192, affine._compose: 2048,
               affine._walk: 65536, affine._letter: 32768,
-              affine.PdElement.one: 8,
+              affine.PdElement.one.__func__: 8,
               brauer.diagram_record: 2048, brauer.enumerate_diagrams: 8,
+              brauer._witnesses: 4,
               tensoraction._op_columns_cached: 256,
               tensoraction._v_action_tables: 16,
               tensoraction._evaluate_raw: 512}
+    # a cache missing from the table fails here
+    assert _package_caches() == set(bounds)
     for fn, bound in bounds.items():
         assert fn.cache_info().maxsize == bound, fn.__name__
